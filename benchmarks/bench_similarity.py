@@ -1,17 +1,20 @@
 """Similarity / distance-oracle benchmark (ISSUE 9 acceptance series).
 
 The service tier's pitch is that pairwise queries run on the flat
-index columns -- no per-node sketch objects materialised -- and that
-the NumPy kernel keeps batch pair queries ahead of the pure-Python
-loops.  Both backends answer over the *same built index* and must
-agree bit-for-bit before any timing counts.
+index columns -- no per-node sketch objects materialised.  Both
+backends answer over the *same built index* and must agree bit-for-bit
+before any timing counts.
 
 Series persisted to ``BENCH_similarity.json``:
 
 * ``throughput`` -- pairs/second per backend for the distance oracle
   (``pairs_distance_estimate``), the d-neighborhood Jaccard batch
   (``pairs_neighborhood_jaccard``), and the union-size batch, plus
-  one ``most_similar`` nearest-neighbor scan per backend.
+  one ``most_similar`` nearest-neighbor scan per backend, plus
+  ``closeness_pairs``: ``pairs_closeness_similarity`` on a *weighted*
+  copy of the graph (nearly all-distinct distances, so the distance
+  grid is as long as the two slices together -- the worst case for
+  anything that recomputes per grid step).
 * ``speedups.distance_pairs`` / ``speedups.jaccard_pairs`` -- the
   regression-gated ratios: NumPy pairs/second over pure pairs/second.
   Pair queries touch two ~k*ln(n)-entry slices each, too small to
@@ -20,6 +23,12 @@ Series persisted to ``BENCH_similarity.json``:
   either backend *collapsing*, not to claim vectorised wins the
   per-pair shape cannot deliver.  (The order-of-magnitude NumPy wins
   live in the whole-graph sweeps, gated via ``BENCH_kernels.json``.)
+* ``speedups.closeness_vs_reference`` -- the one-pass merge sweep
+  (pure kernel) over the per-object reference
+  ``repro.centrality.similarity.closeness_similarity`` on the same
+  pairs, answers asserted equal first.  Regression-gated: the
+  reference re-extracts both sketches per grid distance, and this
+  ratio falling toward 1 means that loop is back.
 
 ``REPRO_BENCH_SIM_N`` (default 3000) scales the graph,
 ``REPRO_BENCH_SIM_PAIRS`` (default 4000) the pair batch;
@@ -37,11 +46,16 @@ import pytest
 
 from conftest import write_output
 from repro.ads import AdsIndex, kernels
+from repro.centrality.similarity import closeness_similarity
 from repro.graph import barabasi_albert_graph
+from repro.graph.digraph import Graph
 from repro.rand.hashing import HashFamily
 
 SIM_BENCH_N = int(os.environ.get("REPRO_BENCH_SIM_N", "3000"))
 SIM_BENCH_PAIRS = int(os.environ.get("REPRO_BENCH_SIM_PAIRS", "4000"))
+# The per-object closeness reference costs milliseconds per pair; a
+# fixed small batch keeps its three timed rounds to a few seconds.
+CLOSENESS_PAIRS = 200
 K = 8
 D = 2.0
 FAMILY = HashFamily(99)
@@ -53,6 +67,20 @@ def _pair_batch(n, count):
     return [
         ((i * 7919) % n, (i * 104729 + 13) % n) for i in range(count)
     ]
+
+
+def _weighted_copy(graph):
+    """The same edges with deterministic weights in [0.5, 1.5)."""
+    weighted = Graph(directed=False)
+    for u in graph.nodes():
+        weighted.add_node(u)
+    for u, v, _ in graph.edges():
+        weighted.add_edge(u, v, 0.5 + ((u * 7919 + v * 104729) % 1000) / 1000)
+    return weighted
+
+
+def _pairs_per_second(count, seconds):
+    return count / seconds if seconds > 0 else float("inf")
 
 
 def _best_of(fn, rounds=3):
@@ -80,9 +108,7 @@ def _measure(index, pairs):
         seconds = _best_of(run)
         series[metric] = {
             "seconds": seconds,
-            "pairs_per_second": (
-                len(pairs) / seconds if seconds > 0 else float("inf")
-            ),
+            "pairs_per_second": _pairs_per_second(len(pairs), seconds),
         }
     scan_seconds = _best_of(
         lambda: index.most_similar(0, count=10, d=D)
@@ -101,7 +127,8 @@ def test_similarity_throughput(benchmark, tmp_path):
     if not kernels.numpy_available():
         pytest.skip("NumPy not installed; nothing to compare against")
 
-    graph = barabasi_albert_graph(SIM_BENCH_N, 3, seed=7).to_csr()
+    base = barabasi_albert_graph(SIM_BENCH_N, 3, seed=7)
+    graph = base.to_csr()
     built = AdsIndex.build(graph, K, family=FAMILY, backend="python")
     path = tmp_path / "similarity.adsidx"
     built.save(path)
@@ -118,11 +145,50 @@ def test_similarity_throughput(benchmark, tmp_path):
     assert py.most_similar(0, count=10, d=D) == \
         np_.most_similar(0, count=10, d=D)
 
-    def run():
+    # Closeness similarity, on the weighted copy: the sweep per backend
+    # and the per-object reference over the same pairs.
+    weighted_py = AdsIndex.build(
+        _weighted_copy(base).to_csr(), K, family=FAMILY, backend="python"
+    )
+    weighted_path = tmp_path / "similarity_weighted.adsidx"
+    weighted_py.save(weighted_path)
+    weighted_np = AdsIndex.load(weighted_path, backend="numpy")
+    closeness_pairs = pairs[:CLOSENESS_PAIRS]
+    sketches = weighted_py.to_ads_set()
+
+    def closeness_reference():
+        return [
+            closeness_similarity(sketches[u], sketches[v])
+            for u, v in closeness_pairs
+        ]
+
+    assert weighted_py.pairs_closeness_similarity(closeness_pairs) == \
+        weighted_np.pairs_closeness_similarity(closeness_pairs) == \
+        closeness_reference()
+
+    def measure_closeness(run):
+        seconds = _best_of(run)
         return {
+            "seconds": seconds,
+            "pairs_per_second": _pairs_per_second(
+                len(closeness_pairs), seconds
+            ),
+        }
+
+    def run():
+        throughput = {
             "python": _measure(py, pairs),
             "numpy": _measure(np_, pairs),
         }
+        for backend, index in (("python", weighted_py),
+                               ("numpy", weighted_np)):
+            throughput[backend]["closeness_pairs"] = measure_closeness(
+                lambda: index.pairs_closeness_similarity(closeness_pairs)
+            )
+        throughput["reference"] = {
+            "closeness_pairs": measure_closeness(closeness_reference)
+        }
+        return throughput
 
     throughput = benchmark.pedantic(run, rounds=1, iterations=1)
     speedups = {
@@ -133,6 +199,10 @@ def test_similarity_throughput(benchmark, tmp_path):
         for metric in ("distance_pairs", "jaccard_pairs",
                        "union_size_pairs")
     }
+    speedups["closeness_vs_reference"] = (
+        throughput["python"]["closeness_pairs"]["pairs_per_second"]
+        / throughput["reference"]["closeness_pairs"]["pairs_per_second"]
+    )
     series = {
         "benchmark": (
             "similarity service tier: batch pair queries, numpy vs "
@@ -143,8 +213,10 @@ def test_similarity_throughput(benchmark, tmp_path):
         "k": K,
         "d": D,
         "pairs": len(pairs),
+        "closeness_pairs": len(closeness_pairs),
         "cpu_count": os.cpu_count() or 1,
         "graph": f"barabasi_albert_graph({SIM_BENCH_N}, 3, seed=7)",
+        "closeness_graph": "the same edges, weights in [0.5, 1.5)",
         "throughput": throughput,
         "speedups": speedups,
         "note": (
@@ -168,3 +240,7 @@ def test_similarity_throughput(benchmark, tmp_path):
         # path broke.
         assert speedups["distance_pairs"] >= 0.25, speedups
         assert speedups["jaccard_pairs"] >= 0.25, speedups
+        # The sweep's cost is linear in the two slices, the
+        # reference's quadratic: anything near parity means the
+        # per-threshold loop came back.
+        assert speedups["closeness_vs_reference"] >= 2.0, speedups

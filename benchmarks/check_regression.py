@@ -63,6 +63,12 @@ TRACKED = [
     # guards for either backend's pair path (ISSUE 9 acceptance).
     ("BENCH_similarity.json", "speedups.distance_pairs", "higher"),
     ("BENCH_similarity.json", "speedups.jaccard_pairs", "higher"),
+    # Closeness similarity: the one-pass merge sweep over the
+    # per-object reference on a weighted graph.  Linear vs quadratic
+    # in the slice lengths, so a collapse toward 1 means the
+    # per-threshold recompute is back (ISSUE 15 acceptance).
+    ("BENCH_similarity.json", "speedups.closeness_vs_reference",
+     "higher"),
     # Durability tier: the fsync'd WAL append must stay a small
     # constant factor on updates, and startup replay must not fall
     # behind the live apply path (ISSUE 10 acceptance).

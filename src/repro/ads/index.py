@@ -1030,10 +1030,23 @@ class AdsIndex:
         self, pairs: Sequence[Sequence[Hashable]]
     ) -> List[Tuple[int, int]]:
         resolved: List[Tuple[int, int]] = []
-        for pair in pairs:
-            u, v = pair
+        for position, pair in enumerate(pairs):
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise EstimatorError(
+                    f"pairs[{position}] must be a (u, v) pair of node "
+                    f"labels, got {pair!r}"
+                ) from None
             resolved.append((self._id_of(u), self._id_of(v)))
         return resolved
+
+    @staticmethod
+    def _require_threshold(d: float) -> None:
+        """NaN compares false with every distance, so a bisect would
+        silently read it as ``inf``; refuse it like the HTTP layer."""
+        if math.isnan(d):
+            raise EstimatorError("d must not be NaN")
 
     def pairs_distance_estimate(
         self, pairs: Sequence[Sequence[Hashable]]
@@ -1050,7 +1063,8 @@ class AdsIndex:
             pairs: ``(u, v)`` label pairs (order preserved).
 
         Raises:
-            EstimatorError: non-bottom-k flavor, or an unknown label.
+            EstimatorError: non-bottom-k flavor, a malformed pair, or
+                an unknown label.
 
         Example:
             >>> from repro.graph import path_graph
@@ -1078,7 +1092,8 @@ class AdsIndex:
             d: Neighborhood threshold (default: full reachable sets).
 
         Raises:
-            EstimatorError: non-bottom-k flavor, or an unknown label.
+            EstimatorError: non-bottom-k flavor, a malformed pair, an
+                unknown label, or ``d`` NaN.
 
         Example:
             >>> from repro.graph import path_graph
@@ -1087,6 +1102,7 @@ class AdsIndex:
             [0.6666666666666666]
         """
         self._require_bottomk()
+        self._require_threshold(d)
         return self._kernel_base.pairs_jaccard(
             self._similarity_views(), self._pair_ids(pairs), d, self.k
         )
@@ -1106,7 +1122,8 @@ class AdsIndex:
             d: Neighborhood threshold (default: full reachable sets).
 
         Raises:
-            EstimatorError: non-bottom-k flavor, or an unknown label.
+            EstimatorError: non-bottom-k flavor, a malformed pair, an
+                unknown label, or ``d`` NaN.
 
         Example:
             >>> from repro.graph import path_graph
@@ -1115,6 +1132,7 @@ class AdsIndex:
             [3.0]
         """
         self._require_bottomk()
+        self._require_threshold(d)
         return self._kernel_base.pairs_union_size(
             self._similarity_views(), self._pair_ids(pairs), d, self.k,
             self.rank_sup,
@@ -1135,7 +1153,8 @@ class AdsIndex:
             pairs: ``(u, v)`` label pairs (order preserved).
 
         Raises:
-            EstimatorError: non-bottom-k flavor, or an unknown label.
+            EstimatorError: non-bottom-k flavor, a malformed pair, or
+                an unknown label.
 
         Example:
             >>> from repro.graph import path_graph
@@ -1175,7 +1194,7 @@ class AdsIndex:
 
         Raises:
             EstimatorError: non-bottom-k flavor, unknown *label*,
-                ``count < 1``, or a range outside ``[0, n)``.
+                ``d`` NaN, ``count < 1``, or a range outside ``[0, n)``.
 
         Example:
             >>> from repro.graph import path_graph
@@ -1185,6 +1204,7 @@ class AdsIndex:
         """
         require(count >= 1, f"count must be >= 1, got {count}")
         self._require_bottomk()
+        self._require_threshold(d)
         query = self._id_of(label)
         n = self.num_nodes
         stop = n if stop is None else stop

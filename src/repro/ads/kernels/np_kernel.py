@@ -456,31 +456,21 @@ def pairs_union_size(
 def pairs_closeness_similarity(
     views: SimViews, pairs: Sequence[Tuple[int, int]], k: int
 ) -> List[float]:
-    """Closeness similarity per pair: the distance grid is one
-    ``np.unique`` over the two slices (sorted distinct doubles, same
-    values as the pure kernel's sorted set union), and the Jaccard
-    average accumulates over it in the same left-to-right order."""
-    values: List[float] = []
-    for u, v in pairs:
-        lo_u, hi_u = int(views.starts[u]), int(views.ends[u])
-        lo_v, hi_v = int(views.starts[v]), int(views.ends[v])
-        grid = np.unique(
-            np.concatenate((views.dist[lo_u:hi_u], views.dist[lo_v:hi_v]))
+    """Closeness similarity per pair.  The merge sweep is sequential
+    scalar work over <= k-entry sketches, so this kernel only extracts
+    the slices (``tolist`` of the column views) and runs the shared
+    core, :func:`repro.ads.kernels.pure.closeness_sweep`."""
+    starts, ends = views.starts, views.ends
+    node, dist, rank = views.node, views.dist, views.rank
+
+    def slice_of(i: int) -> _pure.SweepSlice:
+        lo, hi = int(starts[i]), int(ends[i])
+        return (
+            dist[lo:hi].tolist(),
+            list(zip(rank[lo:hi].tolist(), node[lo:hi].tolist())),
         )
-        if not len(grid):
-            values.append(0.0)
-            continue
-        total = 0.0
-        norm = 0.0
-        for threshold in grid.tolist():
-            total += _pure.union_jaccard(
-                _minhash_for_slice(views, u, threshold, k),
-                _minhash_for_slice(views, v, threshold, k),
-                k,
-            )
-            norm += 1.0
-        values.append(total / norm)
-    return values
+
+    return _pure.sweep_pairs(slice_of, pairs, k)
 
 
 def pairs_distance(

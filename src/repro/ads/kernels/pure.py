@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import EstimatorError
@@ -292,6 +292,113 @@ def pairs_union_size(
     ]
 
 
+#: One node's slice as the closeness sweep reads it: entry distances in
+#: slice (ascending) order, and the matching ``(rank, node)`` keys.
+SweepSlice = Tuple[List[float], List[Tuple[float, int]]]
+
+
+def _absorb(
+    sketch: List[Tuple[float, int]], keys: List[Tuple[float, int]], k: int
+) -> List[Tuple[float, int]]:
+    """Fold the *keys* of one distance step into a sorted bottom-k
+    list and return the result.  A lone key (weighted graphs: nearly
+    every step) is inserted in place and the maximum dropped on
+    overflow; a tied-distance group (unit weights) is cheaper as one
+    sort.  Either way a key that is not among the k smallest just
+    falls off: the ADS inclusion invariant is not assumed."""
+    if len(keys) > 1:
+        return sorted(sketch + keys)[:k]
+    key = keys[0]
+    if len(sketch) < k:
+        insort(sketch, key)
+    elif key < sketch[-1]:
+        sketch.pop()
+        insort(sketch, key)
+    return sketch
+
+
+def _sorted_jaccard(
+    sketch_a: List[Tuple[float, int]],
+    sketch_b: List[Tuple[float, int]],
+    k: int,
+) -> float:
+    """:func:`union_jaccard` for two *sorted* bottom-k lists: one
+    two-pointer merge takes the union's k smallest keys and counts the
+    ones both sides hold.  A node's rank is a function of the node, so
+    a shared node carries equal keys and meets itself in the merge.
+    The same integer ratio, hence the same float."""
+    len_a, len_b = len(sketch_a), len(sketch_b)
+    i = j = size = in_both = 0
+    while size < k and i < len_a and j < len_b:
+        key_a, key_b = sketch_a[i], sketch_b[j]
+        if key_a < key_b:
+            i += 1
+        elif key_b < key_a:
+            j += 1
+        else:
+            in_both += 1
+            i += 1
+            j += 1
+        size += 1
+    # One side ran out: whatever the other still holds is one-sided.
+    size = min(k, size + (len_a - i) + (len_b - j))
+    return in_both / size if size else 0.0
+
+
+def closeness_sweep(slice_a: SweepSlice, slice_b: SweepSlice, k: int) -> float:
+    """Closeness similarity of two slices in one pass.
+
+    Scanning an ADS in distance order evolves the bottom-k MinHash
+    sketch of ``N_d`` one entry at a time, so the sweep walks both
+    slices once by ascending distance, keeps each side's bottom-k
+    incrementally, and takes one Jaccard per distinct distance --
+    O((|A| + |B|) * k) instead of re-sorting both prefixes per
+    distance.  Terms are accumulated left to right over the same grid
+    as the per-object reference, so the result is bit-identical.
+    """
+    dist_a, keys_a = slice_a
+    dist_b, keys_b = slice_b
+    len_a, len_b = len(dist_a), len(dist_b)
+    sketch_a: List[Tuple[float, int]] = []
+    sketch_b: List[Tuple[float, int]] = []
+    i = j = steps = 0
+    total = 0.0
+    while i < len_a or j < len_b:
+        if j == len_b or (i < len_a and dist_a[i] <= dist_b[j]):
+            threshold = dist_a[i]
+        else:
+            threshold = dist_b[j]
+        if i < len_a and dist_a[i] == threshold:
+            end = bisect_right(dist_a, threshold, i)
+            sketch_a = _absorb(sketch_a, keys_a[i:end], k)
+            i = end
+        if j < len_b and dist_b[j] == threshold:
+            end = bisect_right(dist_b, threshold, j)
+            sketch_b = _absorb(sketch_b, keys_b[j:end], k)
+            j = end
+        total += _sorted_jaccard(sketch_a, sketch_b, k)
+        steps += 1
+    return total / steps if steps else 0.0
+
+
+def sweep_pairs(
+    slice_of: Callable[[int], SweepSlice],
+    pairs: Sequence[Tuple[int, int]],
+    k: int,
+) -> List[float]:
+    """:func:`closeness_sweep` per ``(u, v)`` id pair, in input order.
+    *slice_of* is the calling kernel's column extraction; each distinct
+    node is extracted once per batch."""
+    slices: dict = {}
+    values: List[float] = []
+    for pair in pairs:
+        for node_id in pair:
+            if node_id not in slices:
+                slices[node_id] = slice_of(node_id)
+        values.append(closeness_sweep(slices[pair[0]], slices[pair[1]], k))
+    return values
+
+
 def pairs_closeness_similarity(
     views: SimColumns, pairs: Sequence[Tuple[int, int]], k: int
 ) -> List[float]:
@@ -299,28 +406,16 @@ def pairs_closeness_similarity(
     average of neighborhood Jaccard over the sorted union of the two
     slices' distinct entry distances -- exactly
     ``repro.centrality.similarity.closeness_similarity`` with default
-    weights.  Accumulation order (sorted grid, left to right) is
-    authoritative."""
-    offsets, dist = views.offsets, views.dist
-    values: List[float] = []
-    for u, v in pairs:
-        lo_u, hi_u = offsets[u], offsets[u + 1]
-        lo_v, hi_v = offsets[v], offsets[v + 1]
-        grid = sorted(set(dist[lo_u:hi_u]) | set(dist[lo_v:hi_v]))
-        if not grid:
-            values.append(0.0)
-            continue
-        total = 0.0
-        norm = 0.0
-        for threshold in grid:
-            total += union_jaccard(
-                minhash_for_slice(views, u, threshold, k),
-                minhash_for_slice(views, v, threshold, k),
-                k,
-            )
-            norm += 1.0
-        values.append(total / norm)
-    return values
+    weights, computed by :func:`closeness_sweep`."""
+    offsets, node, dist, rank = (
+        views.offsets, views.node, views.dist, views.rank
+    )
+
+    def slice_of(i: int) -> SweepSlice:
+        lo, hi = offsets[i], offsets[i + 1]
+        return list(dist[lo:hi]), list(zip(rank[lo:hi], node[lo:hi]))
+
+    return sweep_pairs(slice_of, pairs, k)
 
 
 def pairs_distance(
