@@ -32,8 +32,8 @@ REPO_ROOT = Path(__file__).parent.parent
 
 def _columns(index):
     return (
-        index._offsets, index._node, index._dist, index._rank,
-        index._tiebreak, index._aux, index._hip, index._cum_hip,
+        index._offsets, index._node, index._dist, index._aux, index._hip,
+        index._cum_hip, index._node_tables,
     )
 
 

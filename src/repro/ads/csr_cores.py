@@ -244,10 +244,34 @@ def core_for_method(method: str):
     return _CSR_CORES[method]
 
 
+# Per-id tiebreaks plus one per-id rank list per hash permutation.
+NodeTables = Tuple[List[int], List[List[float]]]
+
+
+def node_hash_tables(
+    labels: Sequence, k: int, family: HashFamily, flavor: str
+) -> NodeTables:
+    """Everything the hash family fixes per *node*: the tiebreak of
+    every label and its rank under each permutation the flavor uses (k
+    for k-mins, one otherwise).  Builders compete on these tables and
+    :class:`~repro.ads.index.AdsIndex` keeps them instead of a rank and
+    a tiebreak per entry."""
+    return (
+        [family.tiebreak(label) for label in labels],
+        [
+            [family.rank(label, h) for label in labels]
+            for h in range(k if flavor == "kmins" else 1)
+        ],
+    )
+
+
 def flavor_competitions(
-    graph: CSRGraph, k: int, family: HashFamily, flavor: str
+    graph: CSRGraph, k: int, family: HashFamily, flavor: str,
+    tables: Optional[NodeTables] = None,
 ) -> Tuple[List[int], List[Competition]]:
-    """The per-id tiebreaks and the competition plan of one flavor.
+    """The per-id tiebreaks and the competition plan of one flavor
+    (over *tables* when the caller already holds
+    :func:`node_hash_tables`).
 
     Mirrors the flavor fan-out of :func:`repro.ads.build_ads_set`:
     bottom-k is a single k-competition over all nodes, k-mins runs k
@@ -256,30 +280,30 @@ def flavor_competitions(
     and the sharded builders execute exactly this plan, in this order --
     which is what makes their merged outputs comparable entry-for-entry.
     """
+    if flavor not in ("bottomk", "kmins", "kpartition"):
+        raise ParameterError(
+            f"unknown flavor {flavor!r}; expected 'bottomk', 'kmins', or "
+            "'kpartition'"
+        )
     labels = graph.nodes()
     n = graph.num_nodes
-    tiebreaks = [family.tiebreak(label) for label in labels]
+    tiebreaks, rank_tables = tables or node_hash_tables(
+        labels, k, family, flavor
+    )
     competitions: List[Competition] = []
     if flavor == "bottomk":
-        ranks = [family.rank(label, 0) for label in labels]
-        competitions.append((k, range(n), ranks, None, None))
+        competitions.append((k, range(n), rank_tables[0], None, None))
     elif flavor == "kmins":
-        for h in range(k):
-            ranks = [family.rank(label, h) for label in labels]
+        for h, ranks in enumerate(rank_tables):
             competitions.append((1, range(n), ranks, None, h))
-    elif flavor == "kpartition":
-        ranks = [family.rank(label, 0) for label in labels]
+    else:
+        ranks = rank_tables[0]
         buckets: List[List[int]] = [[] for _ in range(k)]
         for node_id, label in enumerate(labels):
             buckets[family.bucket(label, k)].append(node_id)
         for h in range(k):
             if buckets[h]:
                 competitions.append((1, buckets[h], ranks, h, None))
-    else:
-        raise ParameterError(
-            f"unknown flavor {flavor!r}; expected 'bottomk', 'kmins', or "
-            "'kpartition'"
-        )
     return tiebreaks, competitions
 
 
@@ -290,6 +314,7 @@ def build_flat_entries(
     flavor: str,
     method: str,
     stats: BuildStats,
+    tables: Optional[NodeTables] = None,
 ) -> List[List[Record]]:
     """All-nodes flat ADS build: one record list per node id, sorted in
     the scan total order (distance, tiebreak).
@@ -301,7 +326,9 @@ def build_flat_entries(
     """
     core = core_for_method(method)
     n = graph.num_nodes
-    tiebreaks, competitions = flavor_competitions(graph, k, family, flavor)
+    tiebreaks, competitions = flavor_competitions(
+        graph, k, family, flavor, tables
+    )
 
     if len(competitions) == 1:
         k_eff, candidates, ranks, bucket, permutation = competitions[0]

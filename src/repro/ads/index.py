@@ -3,16 +3,25 @@
 A sketch *set* built once is typically queried many times (Section 1's
 "build the sketches, then answer any C_{alpha,beta} query").  The legacy
 ``Dict[node, BaseADS]`` pays one Python object per entry plus one
-container per node; this index stores the whole set as seven flat
-columns in one pass and serves batch queries straight off them:
+container per node; this index stores the whole set as flat columns
+in one pass and serves batch queries straight off them:
 
 * ``offsets`` (n+1): node id i's entries live at ``offsets[i]:offsets[i+1]``;
-* ``node`` / ``dist`` / ``rank`` / ``tiebreak``: one column each, in the
-  scan total order (distance, tiebreak) within every node's slice;
-* ``aux``: the k-partition bucket or k-mins permutation (-1 otherwise);
+* ``node`` / ``dist``: the entry itself -- a (node, distance) pair as
+  in Section 2 -- in the scan total order (distance, tiebreak) within
+  every node's slice;
 * ``hip``: HIP adjusted weights, computed once at build time for every
   node in a single pass (Section 5) -- the estimator plumbing every
-  batch query below reuses.
+  batch query below reuses;
+* ``aux`` (k-mins / k-partition only): the permutation or bucket.
+
+Rank and tiebreak are functions of ``(seed, node)``, so they are held
+once per *node* (:func:`~repro.ads.csr_cores.node_hash_tables`: handed
+over by the build, derived from ``HashFamily(seed)`` on first need
+after a load) and gathered through the node column by the readers that
+want them; point, batch and sweep cardinality / closeness queries
+never touch them.  The column set and typecodes are
+:data:`repro.ads.mmap_io.ENTRY_COLUMNS`: 20 bytes per bottom-k entry.
 
 Queries: :meth:`cardinality_at` (all nodes at once),
 :meth:`neighborhood_function` (whole-graph ANF series),
@@ -25,8 +34,9 @@ zero-copy views of these columns -- selected per index
 (``backend="auto"|"numpy"|"python"``, ``REPRO_BACKEND`` env override)
 and bit-identical across backends by construction.
 :meth:`save` / :meth:`load` persist the columns as raw little/big-endian
-array bytes behind a JSON header, so an index built on a big graph is
-built once and served many times; ``load(path, mmap=True)`` skips the
+array bytes behind a checksummed JSON header (format ``ADSIDX02``;
+``ADSIDX01`` files are still read and converted), so an index built on
+a big graph is built once and served many times; ``load(path, mmap=True)`` skips the
 deserialisation copy entirely and serves queries off memory-mapped
 column views (:mod:`repro.ads.mmap_io`), mapping sharded layouts one
 shard at a time on first touch.  ``index[node]`` lazily materialises a
@@ -42,8 +52,10 @@ import math
 import os
 import sys
 import threading
+import zlib
 from array import array
 from bisect import bisect_right
+from itertools import repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -62,28 +74,40 @@ from repro._util import atomic_output, require
 from repro.ads import kernels
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.base import FLAVOR_CLASSES as _FLAVOR_CLASSES, BaseADS
-from repro.ads.csr_cores import Record, build_flat_entries
+from repro.ads.csr_cores import (
+    Record,
+    build_flat_entries,
+    node_hash_tables,
+    records_to_entries,
+)
 from repro.ads.dynamic import UpdateResult, propagate_edge_insertions
-from repro.ads.entry import AdsEntry
-from repro.ads.mmap_io import ShardMaps, ShardSpec, ShardedColumn, \
-    map_file_columns
+from repro.ads.mmap_io import (
+    ENTRY_COLUMNS,
+    OFFSETS_TYPECODE,
+    ShardMaps,
+    ShardSpec,
+    ShardedColumn,
+    expected_bytes,
+    map_file_columns,
+)
 from repro.ads.parallel import build_flat_entries_sharded
 from repro.ads.pruned_dijkstra import BuildStats
 from repro.errors import EstimatorError, ParameterError
-from repro.estimators.hip import (
-    bottom_k_adjusted_weights,
-    k_mins_adjusted_weights,
-    k_partition_adjusted_weights,
-)
 from repro.estimators.statistics import closeness_centrality_estimate
 from repro.graph.csr import CSRGraph
 from repro.rand.hashing import HashFamily
 
-_MAGIC = b"ADSIDX01"
-_SHARD_MAGIC = b"ADSSHD01"
+# (current, read-only predecessor) magic of each file kind.  Version 1
+# carried six 8-byte entry columns (below); it is converted on load and
+# never written.
+FORMAT_VERSION = 2
+_MAGICS = (b"ADSIDX02", b"ADSIDX01")
+_SHARD_MAGICS = (b"ADSSHD02", b"ADSSHD01")
+_V1_TYPECODES = ("q", "d", "d", "Q", "q", "d")  # node dist rank tb aux hip
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "adsidx-sharded"
-_COLUMN_TYPECODES = ("q", "d", "d", "Q", "q", "d")  # entry columns
+# Node ids are stored in four bytes.
+MAX_NODES = 1 << 31
 
 
 def _labels_digest(labels: Sequence[Hashable]) -> str:
@@ -127,29 +151,132 @@ def _read_exact(handle, count: int, path) -> bytes:
     return payload
 
 
-def _read_json_header(handle, path, magic: bytes, kind: str) -> dict:
-    got = handle.read(len(magic))
-    if got != magic:
+def _write_header(handle, magic: bytes, header: dict) -> None:
+    """Magic, header length, header CRC32, then the JSON header padded
+    with spaces to a multiple of 8 so the columns start 8-aligned."""
+    payload = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    payload += b" " * (-len(payload) % 8)
+    handle.write(magic)
+    handle.write(len(payload).to_bytes(8, "little"))
+    handle.write(zlib.crc32(payload).to_bytes(8, "little"))
+    handle.write(payload)
+
+
+def _read_header(
+    handle, path, magics: Tuple[bytes, bytes], kind: str,
+    required: Sequence[str],
+) -> Tuple[int, dict]:
+    """``(format version, header)`` of an index or shard file.  The
+    header carries every *required* field; a version-2 header matched
+    its checksum and lists its columns' (``"crc32"``), which version 1
+    has none of (``None``)."""
+    got = handle.read(len(magics[0]))
+    if got not in magics:
         raise EstimatorError(f"{path}: not an {kind} file")
+    version = FORMAT_VERSION - magics.index(got)
     header_len = int.from_bytes(_read_exact(handle, 8, path), "little")
     if not 0 < header_len <= (1 << 30):
         raise EstimatorError(f"{path}: implausible header length")
+    if version == FORMAT_VERSION:
+        crc = int.from_bytes(_read_exact(handle, 8, path), "little")
     header_bytes = _read_exact(handle, header_len, path)
+    if version == FORMAT_VERSION and zlib.crc32(header_bytes) != crc:
+        raise EstimatorError(f"{path}: header checksum mismatch")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise EstimatorError(f"{path}: corrupt header ({error})")
     if not isinstance(header, dict):
         raise EstimatorError(f"{path}: corrupt header (not an object)")
-    return header
+    if version != FORMAT_VERSION:
+        header["crc32"] = None
+    missing = [field for field in (*required, "crc32") if field not in header]
+    if missing:
+        raise EstimatorError(f"{path}: corrupt header (missing {missing})")
+    return version, header
 
 
-def _read_column(handle, path, typecode: str, count: int, swap: bool) -> array:
-    column = array(typecode)
-    column.frombytes(_read_exact(handle, 8 * count, path))
-    if swap:
-        column.byteswap()
-    return column
+def _file_layout(
+    path, version: int, header: dict, rows: int
+) -> Tuple[Tuple[str, ...], List[int]]:
+    """``(typecodes, counts)`` of the offsets column (for *rows* nodes)
+    and every entry column, in file order, once the header's counts and
+    checksum list are known to be sane."""
+    columns = ENTRY_COLUMNS.get(header["flavor"])
+    if columns is None:
+        raise EstimatorError(
+            f"{path}: corrupt header (flavor {header['flavor']!r})"
+        )
+    typecodes = (OFFSETS_TYPECODE,) + (
+        tuple(typecode for _, typecode in columns)
+        if version == FORMAT_VERSION else _V1_TYPECODES
+    )
+    entries, crcs = header["entries"], header.get("crc32")
+    if not (
+        type(rows) is int and type(entries) is int and min(rows, entries) >= 0
+        and (crcs is None or (
+            isinstance(crcs, list) and len(crcs) == len(typecodes)
+            and all(type(crc) is int for crc in crcs)
+        ))
+    ):
+        raise EstimatorError(f"{path}: corrupt header counts")
+    return typecodes, [rows + 1] + [entries] * (len(typecodes) - 1)
+
+
+def _read_columns(
+    handle, path, typecodes: Sequence[str], counts: Sequence[int],
+    header: dict,
+) -> List[array]:
+    """Read back-to-back columns into owned arrays, verifying the
+    header's per-column CRC32s (version 2) and correcting byte order."""
+    position = handle.tell()
+    if handle.seek(0, os.SEEK_END) - position < expected_bytes(
+        typecodes, counts
+    ):
+        raise EstimatorError(f"{path}: truncated file")
+    handle.seek(position)
+    crcs = header["crc32"]
+    columns = []
+    for i, (typecode, count) in enumerate(zip(typecodes, counts)):
+        column = array(typecode)
+        payload = _read_exact(handle, column.itemsize * count, path)
+        if crcs is not None and zlib.crc32(payload) != crcs[i]:
+            raise EstimatorError(f"{path}: column {i} checksum mismatch")
+        column.frombytes(payload)
+        if header["byteorder"] != sys.byteorder:
+            column.byteswap()
+        columns.append(column)
+    return columns
+
+
+def _convert_v1(columns: Sequence[array], flavor: str, path):
+    """A version-1 file's six entry columns as the current layout, plus
+    the dropped ``(rank, tiebreak)`` pair for the caller to hold against
+    the tables derived from the file's seed."""
+    node, dist, rank, tiebreak, aux, hip = columns
+    try:
+        converted = [dist, hip, array("I", node)]
+        if flavor != "bottomk":
+            converted.append(array("I", aux))
+    except OverflowError:
+        raise EstimatorError(f"{path}: entry node ids must lie in [0, n)")
+    return converted, (rank, tiebreak)
+
+
+def _pack_tables(tables) -> Tuple[array, List[array]]:
+    """:func:`node_hash_tables` output as the flat arrays the index
+    keeps: 8 bytes per node for the tiebreaks and per rank table."""
+    tiebreaks, ranks = tables
+    return array("Q", tiebreaks), [array("d", table) for table in ranks]
+
+
+def _buffer(column, lo: int = 0, hi: Optional[int] = None):
+    """``column[lo:hi]`` as a bytes-like object, copy-free for owned
+    arrays and in-shard mapped views."""
+    hi = len(column) if hi is None else hi
+    if isinstance(column, array):
+        column = memoryview(column)
+    return column[lo:hi]
 
 
 def _parse_manifest(manifest_path: Path) -> dict:
@@ -174,7 +301,7 @@ def _parse_manifest(manifest_path: Path) -> dict:
             f"{manifest_path}: not an {_MANIFEST_FORMAT} manifest "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") != 1:
+    if manifest.get("version") not in (1, FORMAT_VERSION):
         raise EstimatorError(
             f"{manifest_path}: unsupported manifest version "
             f"{manifest.get('version')!r}"
@@ -242,12 +369,10 @@ class AdsIndex:
         seed: int,
         labels: Sequence[Hashable],
         offsets: array,
-        node_column: array,
         dist_column: array,
-        rank_column: array,
-        tiebreak_column: array,
-        aux_column: array,
         hip_column: array,
+        node_column: array,
+        aux_column: Optional[array] = None,
         rank_sup: float = 1.0,
         validate_columns: bool = True,
         backend: str = "auto",
@@ -277,19 +402,24 @@ class AdsIndex:
         self._labels = list(labels)
         self._ids = {label: i for i, label in enumerate(self._labels)}
         self._offsets = offsets
-        self._node = node_column
         self._dist = dist_column
-        self._rank = rank_column
-        self._tiebreak = tiebreak_column
-        self._aux = aux_column
         self._hip = hip_column
+        self._node = node_column
+        self._aux = aux_column
+        # (tiebreaks, [ranks per permutation]) per node id; None until
+        # a reader of ranks or tiebreaks first needs it.
+        self._tables_cache: Optional[Tuple[array, List[array]]] = None
         self._wire_kernel(kernel_workers)
         # Validate the layout before walking it (a corrupted file must
         # fail with EstimatorError, not an IndexError mid-computation).
+        self._check_node_count()
         if len(offsets) != len(self._labels) + 1:
             raise EstimatorError("offsets length must be n + 1")
-        columns = (node_column, dist_column, rank_column, tiebreak_column,
-                   aux_column, hip_column)
+        columns = self._columns()
+        if len(columns) != len(ENTRY_COLUMNS[flavor]):
+            raise EstimatorError(
+                "an aux column belongs to k-mins / k-partition indexes only"
+            )
         if len({len(c) for c in columns}) != 1:
             raise EstimatorError("entry columns must have equal lengths")
         if offsets[0] != 0 or offsets[-1] != len(hip_column):
@@ -298,17 +428,20 @@ class AdsIndex:
             # Full-column sanity scans.  mmap-backed loads skip these --
             # walking every entry would page the whole file in, which is
             # exactly what mmap=True exists to avoid; the header,
-            # manifest, and byte-length checks still ran.
+            # manifest, and byte-length checks still ran, and the
+            # readers that look a node id up range-check it per slice.
             if any(
                 offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)
             ):
                 raise EstimatorError(
                     "offsets must rise from 0 to the entry count"
                 )
-            if len(node_column) and not (
-                0 <= min(node_column) and max(node_column) < len(self._labels)
-            ):
+            if len(node_column) and max(node_column) >= len(self._labels):
                 raise EstimatorError("entry node ids must lie in [0, n)")
+            if aux_column is not None and len(aux_column) and (
+                max(aux_column) >= self.k
+            ):
+                raise EstimatorError("entry aux values must lie in [0, k)")
             self._cum_cache: Optional[array] = self._compute_cum_hip()
         else:
             self._cum_cache = None
@@ -321,6 +454,62 @@ class AdsIndex:
         # (what compact() uses to pick the shards to refresh).
         self.delta_log: List[Dict[str, int]] = []
         self._dirty_ids: set = set()
+
+    def _columns(self) -> tuple:
+        """The entry columns in :data:`ENTRY_COLUMNS` (file) order."""
+        columns = (self._dist, self._hip, self._node)
+        return columns if self._aux is None else columns + (self._aux,)
+
+    def _check_node_count(self) -> None:
+        if len(self._labels) >= MAX_NODES:
+            raise EstimatorError(
+                f"{len(self._labels)} nodes: entry node ids are stored in "
+                f"four bytes, so an index holds fewer than {MAX_NODES} nodes"
+            )
+
+    @property
+    def _node_tables(self):
+        """``(tiebreaks, [ranks per permutation])``, each an n-length
+        array indexed by node id: what the hash family fixes per node.
+
+        A build hands its own over; a loaded index derives them from
+        ``HashFamily(seed)`` on first need, under the lock that guards
+        the cum-hip pass.  Only rank / tiebreak readers come here
+        (similarity views, update records, legacy materialisation).
+        """
+        tables = self._tables_cache
+        if tables is None:
+            with self._cum_lock:
+                tables = self._tables_cache
+                if tables is None:
+                    tables = _pack_tables(node_hash_tables(
+                        self._labels, self.k, self.family, self.flavor
+                    ))
+                    self._tables_cache = tables
+        return tables
+
+    def _entry_nodes(self, lo: int, hi: int):
+        """``node[lo:hi]``, range-checked: a mapped load never scanned
+        the column, and an unchecked id would name the wrong label."""
+        nodes = self._node[lo:hi]
+        if len(nodes) and max(nodes) >= len(self._labels):
+            raise kernels.pure.bad_node_id(nodes, lo, len(self._labels))
+        return nodes
+
+    def _slice_ranks(self, lo: int, hi: int) -> Tuple[Any, List[float]]:
+        """``(nodes, ranks)`` of the entries in slots ``[lo, hi)``, the
+        ranks gathered from the per-node tables (per permutation for
+        k-mins)."""
+        ranks = self._node_tables[1]
+        nodes = self._entry_nodes(lo, hi)
+        if self.flavor != "kmins":
+            return nodes, list(map(ranks[0].__getitem__, nodes))
+        try:
+            return nodes, [
+                ranks[h][v] for v, h in zip(nodes, self._aux[lo:hi])
+            ]
+        except IndexError:
+            raise EstimatorError("corrupt index: aux value outside [0, k)")
 
     def _kernel_views(self):
         """The active kernel's prepared view of the entry columns.
@@ -341,7 +530,8 @@ class AdsIndex:
 
     def _similarity_views(self):
         """The base kernel's prepared view of the similarity columns
-        (entry nodes, distances, ranks).
+        (entry nodes, distances) plus the per-node rank table the ops
+        gather from, slice by slice.
 
         Similarity ops are per-pair / per-candidate work dispatched
         serially on the base kernel -- the partition-parallel wrapper
@@ -352,7 +542,8 @@ class AdsIndex:
         views = self._sim_views_cache
         if views is None:
             views = self._kernel_base.prepare_similarity_views(
-                self._offsets, self._node, self._dist, self._rank
+                self._offsets, self._node, self._dist,
+                self._node_tables[1][0],
             )
             self._sim_views_cache = views
         return views
@@ -452,6 +643,11 @@ class AdsIndex:
         ``workers=1`` with ``shards > 1`` runs the same shard/replay
         pipeline in-process.
 
+        The index keeps *family*'s seed, not the object: ranks and
+        tiebreaks are held per node from this build and derived again
+        from ``HashFamily(seed)`` after a save / load, so a subclass
+        overriding ``rank`` is not reproduced by a reload.
+
         ``backend`` picks the estimator kernel the built index answers
         batch queries with (:mod:`repro.ads.kernels`): ``"auto"``
         (NumPy when installed, honouring ``REPRO_BACKEND``),
@@ -493,102 +689,58 @@ class AdsIndex:
             method = "pruned_dijkstra"
         if stats is None:
             stats = BuildStats()
+        labels = csr.nodes()
+        tables = node_hash_tables(labels, k, family, flavor)
         if workers > 1 or shards is not None:
             per_node = build_flat_entries_sharded(
                 csr, k, family, flavor, method, stats,
-                workers=workers, shards=shards,
+                workers=workers, shards=shards, tables=tables,
             )
         else:
             per_node = build_flat_entries(
-                csr, k, family, flavor, method, stats
+                csr, k, family, flavor, method, stats, tables
             )
-        labels = csr.nodes()
-
-        total = sum(len(records) for records in per_node)
-        offsets = array("q", [0] * (len(labels) + 1))
-        node_column = array("q", bytes(8 * total))
-        dist_column = array("d", bytes(8 * total))
-        rank_column = array("d", bytes(8 * total))
-        tiebreak_column = array("Q", bytes(8 * total))
-        aux_column = array("q", bytes(8 * total))
-        slot = 0
+        rank_tables = tables[1]
+        offsets = array(OFFSETS_TYPECODE, bytes(8 * (len(labels) + 1)))
+        dist_column, hip_column = array("d"), array("d")
+        node_column = array("I")
+        aux_column = None if flavor == "bottomk" else array("I")
         for i, records in enumerate(per_node):
-            for distance, tiebreak, node_id, rank, bucket, permutation in records:
-                node_column[slot] = node_id
-                dist_column[slot] = distance
-                rank_column[slot] = rank
-                tiebreak_column[slot] = tiebreak
-                aux = bucket if bucket is not None else permutation
-                aux_column[slot] = -1 if aux is None else aux
-                slot += 1
-            offsets[i + 1] = slot
-        hip_column = cls._compute_hip_column(
-            flavor, k, family, labels, offsets,
-            node_column, dist_column, rank_column, aux_column,
+            dist_column.extend([record[0] for record in records])
+            node_column.extend([record[2] for record in records])
+            if flavor == "kpartition":
+                aux_column.extend([record[4] for record in records])
+            elif flavor == "kmins":
+                aux_column.extend([record[5] for record in records])
+            # Section-5 adjusted weights, slice by slice: the one pass
+            # apply_edges re-runs over the slices it rewrites.
+            hip_column.extend(kernel_parallel.slice_hip_weights(
+                kernels.pure, flavor, k, records,
+                cls._rank_vectors(flavor, rank_tables, records),
+            ))
+            offsets[i + 1] = len(hip_column)
+        index = cls(
+            flavor, k, family.seed, labels, offsets, dist_column,
+            hip_column, node_column, aux_column, backend=backend,
+            kernel_workers=kernel_workers,
         )
-        return cls(
-            flavor, k, family.seed, labels, offsets, node_column,
-            dist_column, rank_column, tiebreak_column, aux_column,
-            hip_column, backend=backend, kernel_workers=kernel_workers,
-        )
+        # The tables the builders competed on, handed over.
+        index._tables_cache = _pack_tables(tables)
+        return index
 
     @staticmethod
-    def _compute_hip_column(
-        flavor: str,
-        k: int,
-        family: HashFamily,
-        labels: Sequence[Hashable],
-        offsets: array,
-        node_column: array,
-        dist_column: array,
-        rank_column: array,
-        aux_column: array,
-    ) -> array:
-        """One pass of Section-5 adjusted weights over every node slice.
-
-        For k-mins the weights live on the *merged* (first-occurrence)
-        view; duplicate per-permutation entries get weight 0 so that
-        prefix sums over the raw slice equal the merged cumulative
-        estimates exactly.
-        """
-        hip = array("d", bytes(8 * len(node_column)))
-        if flavor == "kmins":
-            # One dense rank list per permutation, shared by every
-            # node's merged view below: O(n*k) hash calls instead of
-            # O(total merged entries * k).
-            ranks_by_permutation = [
-                [family.rank(label, h) for label in labels] for h in range(k)
-            ]
-        for i in range(len(labels)):
-            lo, hi = offsets[i], offsets[i + 1]
-            if lo == hi:
-                continue
-            if flavor == "bottomk":
-                weights = bottom_k_adjusted_weights(rank_column[lo:hi], k)
-                hip[lo:hi] = array("d", weights)
-            elif flavor == "kpartition":
-                weights = k_partition_adjusted_weights(
-                    [(aux_column[s], rank_column[s]) for s in range(lo, hi)],
-                    k,
-                )
-                hip[lo:hi] = array("d", weights)
-            else:  # kmins: merged first-occurrence view
-                seen = set()
-                merged_slots = []
-                for s in range(lo, hi):
-                    entry_node = node_column[s]
-                    if entry_node in seen:
-                        continue
-                    seen.add(entry_node)
-                    merged_slots.append(s)
-                vectors = [
-                    [ranks_by_permutation[h][node_column[s]] for h in range(k)]
-                    for s in merged_slots
-                ]
-                weights = k_mins_adjusted_weights(vectors, k)
-                for s, weight in zip(merged_slots, weights):
-                    hip[s] = weight
-        return hip
+    def _rank_vectors(
+        flavor: str, rank_tables: Sequence[Sequence[float]],
+        records: Sequence[Record],
+    ) -> Optional[List[List[float]]]:
+        """Each record's node's rank under all k permutations -- what
+        the k-mins HIP weights condition on; ``None`` for the flavors
+        whose weights need only the records' own ranks."""
+        if flavor != "kmins":
+            return None
+        return [
+            [table[record[2]] for table in rank_tables] for record in records
+        ]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -610,6 +762,25 @@ class AdsIndex:
         cold index warming up.
         """
         return getattr(self._node, "mapped_shards", None)
+
+    def format_stats(self) -> Dict[str, Any]:
+        """What an entry costs: the storage format version, the bytes
+        the entry columns take per entry, and this index's flat-array
+        bytes per entry (offsets, the cum-hip cache and the per-node
+        tables included once they exist)."""
+        typecodes = [typecode for _, typecode in ENTRY_COLUMNS[self.flavor]]
+        entry_bytes = expected_bytes(typecodes, [1] * len(typecodes))
+        entries = self.num_entries
+        held = 8 * len(self._offsets) + entry_bytes * entries
+        if self._cum_cache is not None:
+            held += 8 * entries
+        if self._tables_cache is not None:
+            held += 8 * self.num_nodes * (1 + len(self._tables_cache[1]))
+        return {
+            "format_version": FORMAT_VERSION,
+            "entry_bytes": entry_bytes,
+            "bytes_per_entry": round(held / max(1, entries), 3),
+        }
 
     def nodes(self) -> List[Hashable]:
         return list(self._labels)
@@ -924,7 +1095,7 @@ class AdsIndex:
             # the per-entry interner lookups otherwise.
             label_of = self._labels.__getitem__
             entry_labels = [label_of(node_id) for node_id in
-                            self._node[lo:hi]]
+                            self._entry_nodes(lo, hi)]
             return closeness_centrality_estimate(
                 entry_labels, self._dist[lo:hi], self._hip[lo:hi],
                 alpha=alpha, beta=beta,
@@ -1250,27 +1421,9 @@ class AdsIndex:
         cached = self._materialised.get(label)
         if cached is not None:
             return cached
-        lo, hi = self._slice(label)
-        label_of = self._labels.__getitem__
-        entries = []
-        for node_id, distance, rank, tiebreak, aux in zip(
-            self._node[lo:hi], self._dist[lo:hi], self._rank[lo:hi],
-            self._tiebreak[lo:hi], self._aux[lo:hi],
-        ):
-            entries.append(
-                AdsEntry(
-                    node=label_of(node_id),
-                    distance=distance,
-                    rank=rank,
-                    tiebreak=tiebreak,
-                    bucket=(
-                        aux if self.flavor == "kpartition" and aux >= 0 else None
-                    ),
-                    permutation=(
-                        aux if self.flavor == "kmins" and aux >= 0 else None
-                    ),
-                )
-            )
+        entries = records_to_entries(
+            self._slice_records(self._id_of(label)), self._labels
+        )
         ads = _FLAVOR_CLASSES[self.flavor](
             label, self.k, entries, self.family, rank_sup=self.rank_sup
         )
@@ -1289,80 +1442,52 @@ class AdsIndex:
     # Dynamic maintenance: incremental edge application
     # ------------------------------------------------------------------
     def _slice_records(self, i: int) -> List[Record]:
-        """Node id *i*'s entries as builder records (scan order)."""
+        """Node id *i*'s entries as builder records (scan order), rank
+        and tiebreak gathered from the per-node tables."""
         lo, hi = self._offsets[i], self._offsets[i + 1]
-        flavor = self.flavor
-        records: List[Record] = []
-        for node_id, distance, rank, tiebreak, aux in zip(
-            self._node[lo:hi], self._dist[lo:hi], self._rank[lo:hi],
-            self._tiebreak[lo:hi], self._aux[lo:hi],
-        ):
-            records.append((
-                distance, tiebreak, node_id, rank,
-                aux if flavor == "kpartition" and aux >= 0 else None,
-                aux if flavor == "kmins" and aux >= 0 else None,
-            ))
-        return records
-
-    def _hip_weights_for_records(
-        self, records: Sequence[Record], labels: Sequence[Hashable]
-    ) -> List[float]:
-        """Section-5 adjusted weights of one rewritten slice.
-
-        Must agree float-for-float with :meth:`_compute_hip_column` on
-        the same slice -- it runs the identical per-flavor estimator
-        over the identical scan order (on the active kernel backend,
-        whose weight functions are bit-identical to the pure
-        estimators), so a patched slice carries the same weights a
-        from-scratch build would.  The shared implementation lives in
-        :func:`repro.ads.kernels.parallel.slice_hip_weights` so the
-        parallel dispatcher can run it in worker pools.
-        """
-        return kernel_parallel.slice_hip_weights(
-            self._kernel, self.flavor, self.k, records,
-            self._entry_labels(records, labels), self.family,
-        )
-
-    def _entry_labels(
-        self, records: Sequence[Record], labels: Sequence[Hashable]
-    ) -> Optional[List[Hashable]]:
-        """Each record's node label, resolved up front -- only k-mins
-        hashes labels, and pre-resolving keeps worker-process payloads
-        free of the whole label list."""
-        if self.flavor != "kmins":
-            return None
-        return [labels[record[2]] for record in records]
+        nodes, ranks = self._slice_ranks(lo, hi)
+        aux = repeat(None) if self._aux is None else self._aux[lo:hi]
+        return list(zip(
+            self._dist[lo:hi],
+            map(self._node_tables[0].__getitem__, nodes),
+            nodes,
+            ranks,
+            aux if self.flavor == "kpartition" else repeat(None),
+            aux if self.flavor == "kmins" else repeat(None),
+        ))
 
     def _dirty_slice_weights(
-        self,
-        dirty_records: Dict[int, List[Record]],
-        labels_after: Sequence[Hashable],
+        self, dirty_records: Dict[int, List[Record]]
     ) -> Dict[int, List[float]]:
         """HIP weights for every dirty slice, fanned out across kernel
         workers when the active kernel is the parallel dispatcher (the
         dominant cost of a splice for large batches); the serial
-        per-slice path otherwise -- same floats either way."""
+        per-slice path otherwise -- same floats either way, and the
+        same :func:`~repro.ads.kernels.parallel.slice_hip_weights` pass
+        the build ran."""
+        rank_tables = self._node_tables[1]
         items = [
             (
                 vid,
                 dirty_records[vid],
-                self._entry_labels(dirty_records[vid], labels_after),
+                self._rank_vectors(
+                    self.flavor, rank_tables, dirty_records[vid]
+                ),
             )
             for vid in sorted(dirty_records)
         ]
         kernel = self._kernel
         if isinstance(kernel, kernel_parallel.ParallelKernel):
             weights_map = kernel.slice_weights_map(
-                self.flavor, self.k, self.family, items
+                self.flavor, self.k, items
             )
             if weights_map is not None:
                 return weights_map
         return {
             vid: kernel_parallel.slice_hip_weights(
-                kernel, self.flavor, self.k, records, entry_labels,
-                self.family,
+                self._kernel_base, self.flavor, self.k, records, rank_vectors
             )
-            for vid, records, entry_labels in items
+            for vid, records, rank_vectors in items
         }
 
     def apply_edges(self, graph, edges: Iterable[Tuple]) -> UpdateResult:
@@ -1441,7 +1566,18 @@ class AdsIndex:
                 graph, self.flavor, self.k, self.family, old_n,
                 self._slice_records, arcs, stats,
             )
-            self._splice_slices(dirty_records, labels_after, old_n)
+            if new_labels:
+                # New arrays, not in-place growth: kernel views may
+                # still export the old tables' buffers.
+                tiebreaks, ranks = self._node_tables
+                new_tiebreaks, new_ranks = _pack_tables(node_hash_tables(
+                    new_labels, self.k, self.family, self.flavor
+                ))
+                self._tables_cache = (
+                    tiebreaks + new_tiebreaks,
+                    [old + new for old, new in zip(ranks, new_ranks)],
+                )
+            self._splice_slices(dirty_records, len(labels_after), old_n)
             for label in new_labels:
                 self._ids[label] = len(self._labels)
                 self._labels.append(label)
@@ -1464,10 +1600,7 @@ class AdsIndex:
         return result
 
     def _splice_slices(
-        self,
-        dirty_records: Dict[int, List[Record]],
-        labels_after: Sequence[Hashable],
-        old_n: int,
+        self, dirty_records: Dict[int, List[Record]], new_n: int, old_n: int
     ) -> None:
         """Rewrite the flat columns with *dirty_records* patched in.
 
@@ -1484,56 +1617,50 @@ class AdsIndex:
         unmaterialised cache stays unmaterialised.
         """
         old_offsets = self._offsets
-        old_columns = (self._node, self._dist, self._rank, self._tiebreak,
-                       self._aux, self._hip)
-        old_cum = self._cum_cache
-        new_cum = None if old_cum is None else array("d")
+        old_columns = self._columns()
+        if self._cum_cache is not None:
+            old_columns += (self._cum_cache,)
         # All dirty slices' weights up front: one parallel fan-out over
         # the slices instead of one serial recompute per splice step.
-        dirty_weights = self._dirty_slice_weights(
-            dirty_records, labels_after
-        )
-        new_n = len(labels_after)
-        new_offsets = array("q", bytes(8 * (new_n + 1)))
-        new_columns = tuple(
-            array(typecode) for typecode in _COLUMN_TYPECODES
-        )
-        (node_column, dist_column, rank_column, tiebreak_column,
-         aux_column, hip_column) = new_columns
+        dirty_weights = self._dirty_slice_weights(dirty_records)
+        new_offsets = array(OFFSETS_TYPECODE, bytes(8 * (new_n + 1)))
+        new_columns = [array(old.typecode) for old in old_columns]
+        aux_field = 4 if self.flavor == "kpartition" else 5
         for i in range(new_n):
             records = dirty_records.get(i)
             if records is None:
+                # An untouched new node (cannot arise from add_edges,
+                # which only interns edge endpoints) keeps an empty
+                # slice.
                 if i < old_n:
                     lo, hi = old_offsets[i], old_offsets[i + 1]
-                    if hi > lo:
-                        for column, old in zip(new_columns, old_columns):
-                            column.extend(old[lo:hi])
-                        if new_cum is not None:
-                            new_cum.extend(old_cum[lo:hi])
-                # else: an untouched new node (cannot arise from
-                # add_edges, which only interns edge endpoints) gets an
-                # empty slice.
+                    for column, old in zip(new_columns, old_columns):
+                        column.extend(old[lo:hi])
             else:
                 weights = dirty_weights[i]
-                running = 0.0
-                for record, weight in zip(records, weights):
-                    distance, tiebreak, node_id, rank, bucket, permutation \
-                        = record
-                    node_column.append(node_id)
-                    dist_column.append(distance)
-                    rank_column.append(rank)
-                    tiebreak_column.append(tiebreak)
-                    aux = bucket if bucket is not None else permutation
-                    aux_column.append(-1 if aux is None else aux)
-                    hip_column.append(weight)
-                    if new_cum is not None:
+                fills = [
+                    [record[0] for record in records],
+                    weights,
+                    [record[2] for record in records],
+                ]
+                if self._aux is not None:
+                    fills.append([record[aux_field] for record in records])
+                if self._cum_cache is not None:
+                    running = 0.0
+                    prefix = []
+                    for weight in weights:
                         running += weight
-                        new_cum.append(running)
-            new_offsets[i + 1] = len(node_column)
+                        prefix.append(running)
+                    fills.append(prefix)
+                for column, values in zip(new_columns, fills):
+                    column.extend(values)
+            new_offsets[i + 1] = len(new_columns[0])
         self._offsets = new_offsets
-        (self._node, self._dist, self._rank, self._tiebreak,
-         self._aux, self._hip) = new_columns
-        self._cum_cache = new_cum
+        if self._cum_cache is not None:
+            self._cum_cache = new_columns.pop()
+        self._dist, self._hip, self._node = new_columns[:3]
+        if self._aux is not None:
+            self._aux = new_columns[3]
         # The spliced columns are new objects; any kernel views over
         # the old ones are stale.
         self._views_cache = None
@@ -1581,36 +1708,26 @@ class AdsIndex:
         info: Dict[str, Any]
         if manifest_path is not None:
             manifest = _parse_manifest(manifest_path)
-            compatible = (
-                manifest["n"] == self.num_nodes
-                and manifest["flavor"] == self.flavor
-                and manifest["k"] == self.k
-                and manifest["seed"] == self.seed
-                and manifest["rank_sup"] == self.rank_sup
-                and manifest["labels_digest"] == _labels_digest(self._labels)
-            )
             shard_entries = manifest["shards"]
-            if compatible:
+            # A layout this index cannot patch shard by shard (other
+            # parameters or labels, or format version 1) is rewritten.
+            patchable = self._layout_mismatch(manifest) is None
+            if patchable:
                 starts = [shard["start"] for shard in shard_entries]
-                dirty_shards = sorted({
+                rewritten = sorted({
                     bisect_right(starts, vid) - 1 for vid in self._dirty_ids
                 })
-                for shard_index in dirty_shards:
+                for shard_index in rewritten:
                     self.write_shard(directory, shard_index)
-                info = {
-                    "layout": "sharded",
-                    "full_rewrite": False,
-                    "rewritten_shards": dirty_shards,
-                    "total_shards": len(shard_entries),
-                }
             else:
                 self.save(directory, shards=len(shard_entries))
-                info = {
-                    "layout": "sharded",
-                    "full_rewrite": True,
-                    "rewritten_shards": list(range(len(shard_entries))),
-                    "total_shards": len(shard_entries),
-                }
+                rewritten = list(range(len(shard_entries)))
+            info = {
+                "layout": "sharded",
+                "full_rewrite": not patchable,
+                "rewritten_shards": rewritten,
+                "total_shards": len(shard_entries),
+            }
         elif shards is not None:
             self.save(path, shards=shards)
             info = {
@@ -1664,27 +1781,29 @@ class AdsIndex:
         with atomic_output(path) as handle:
             self._write_single(handle)
 
-    def _write_single(self, handle) -> None:
-        """Serialise the single-file layout onto an open binary handle."""
-        header = {
+    def _file_header(self, columns: Sequence, **fields) -> dict:
+        """The JSON header in front of *columns* (offsets first), their
+        CRC32s included; *fields* are the file kind's own."""
+        return {
             "flavor": self.flavor,
             "k": self.k,
             "seed": self.seed,
             "rank_sup": self.rank_sup,
             "n": self.num_nodes,
-            "entries": self.num_entries,
             "byteorder": sys.byteorder,
-            "labels": self._labels,
+            "crc32": [zlib.crc32(column) for column in columns],
+            **fields,
         }
-        header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-        handle.write(_MAGIC)
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        for column in (
-            self._offsets, self._node, self._dist, self._rank,
-            self._tiebreak, self._aux, self._hip,
-        ):
-            handle.write(column.tobytes())
+
+    def _write_single(self, handle) -> None:
+        """Serialise the single-file layout onto an open binary handle."""
+        columns = [_buffer(column)
+                   for column in (self._offsets,) + self._columns()]
+        _write_header(handle, _MAGICS[0], self._file_header(
+            columns, entries=self.num_entries, labels=self._labels,
+        ))
+        for column in columns:
+            handle.write(column)
 
     def to_bytes(self) -> bytes:
         """The single-file layout as in-memory bytes (what :meth:`save`
@@ -1703,39 +1822,13 @@ class AdsIndex:
     def from_bytes(
         cls, data: bytes, backend: str = "auto", kernel_workers=None
     ) -> "AdsIndex":
-        """Rebuild an index from :meth:`to_bytes` output (always eager)."""
+        """Rebuild an index from :meth:`to_bytes` output (always eager,
+        checksums verified)."""
         kernels.resolve(backend)
         kernel_parallel.parse_workers(kernel_workers)
-        origin = "<index bytes>"
-        handle = io.BytesIO(data)
-        header = _read_json_header(handle, origin, _MAGIC, "AdsIndex")
-        try:
-            flavor = header["flavor"]
-            k = header["k"]
-            seed = header["seed"]
-            rank_sup = header["rank_sup"]
-            labels = header["labels"]
-            n = header["n"]
-            entries = header["entries"]
-            swap = header["byteorder"] != sys.byteorder
-        except KeyError as error:
-            raise EstimatorError(f"{origin}: corrupt header ({error})")
-        if not (isinstance(n, int) and isinstance(entries, int)
-                and n >= 0 and entries >= 0):
-            raise EstimatorError(f"{origin}: corrupt header counts")
-        offsets = _read_column(handle, origin, "q", n + 1, swap)
-        columns = [
-            _read_column(handle, origin, typecode, entries, swap)
-            for typecode in _COLUMN_TYPECODES
-        ]
-        try:
-            return cls(
-                flavor, k, seed, labels, offsets, *columns,
-                rank_sup=rank_sup, backend=backend,
-                kernel_workers=kernel_workers,
-            )
-        except (ParameterError, TypeError, ValueError) as error:
-            raise EstimatorError(f"{origin}: corrupt header ({error})")
+        return cls._read_single(
+            io.BytesIO(data), "<index bytes>", False, backend, kernel_workers
+        )
 
     def labels_digest(self) -> str:
         """Fingerprint of the node label list (id order included) --
@@ -1744,7 +1837,9 @@ class AdsIndex:
 
     def content_digest(self) -> str:
         """Fingerprint of the full sketch state: parameters, labels,
-        and every column's raw bytes.
+        and every column's raw bytes (rank and tiebreak follow from the
+        seed and labels, so a converted version-1 file digests like a
+        fresh build).
 
         Two indexes agree here iff they answer every query identically,
         so the resync protocol uses it to prove a re-seeded replica
@@ -1764,14 +1859,12 @@ class AdsIndex:
         ).encode("utf-8")
         digest.update(params)
         digest.update(_labels_digest(self._labels).encode("ascii"))
-        for column in (
-            self._offsets, self._node, self._dist, self._rank,
-            self._tiebreak, self._aux, self._hip,
-        ):
-            digest.update(column.tobytes())
+        for column in (self._offsets,) + self._columns():
+            digest.update(column)
         return digest.hexdigest()
 
     def _check_saveable_labels(self) -> None:
+        self._check_node_count()
         for label in self._labels:
             if not isinstance(label, (int, str)) or isinstance(label, bool):
                 raise EstimatorError(
@@ -1818,7 +1911,7 @@ class AdsIndex:
             })
         manifest = {
             "format": _MANIFEST_FORMAT,
-            "version": 1,
+            "version": FORMAT_VERSION,
             "flavor": self.flavor,
             "k": self.k,
             "seed": self.seed,
@@ -1837,35 +1930,37 @@ class AdsIndex:
         self, path: Path, start: int, stop: int, digest: str
     ) -> None:
         lo, hi = self._offsets[start], self._offsets[stop]
-        header = {
-            "format": "adsidx-shard",
-            "version": 1,
-            "flavor": self.flavor,
-            "k": self.k,
-            "seed": self.seed,
-            "rank_sup": self.rank_sup,
-            "n": self.num_nodes,
-            "start": start,
-            "stop": stop,
-            "entries": hi - lo,
-            "byteorder": sys.byteorder,
-            "labels": self._labels[start:stop],
-            "labels_digest": digest,
-        }
-        header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-        offsets = array("q", (self._offsets[i] - lo
-                              for i in range(start, stop + 1)))
+        offsets = array(OFFSETS_TYPECODE, (self._offsets[i] - lo
+                                           for i in range(start, stop + 1)))
+        columns = [offsets] + [
+            _buffer(column, lo, hi) for column in self._columns()
+        ]
         self._guard_mmap_overwrite(path)
         with atomic_output(path) as handle:
-            handle.write(_SHARD_MAGIC)
-            handle.write(len(header_bytes).to_bytes(8, "little"))
-            handle.write(header_bytes)
-            handle.write(offsets.tobytes())
-            for column in (
-                self._node, self._dist, self._rank,
-                self._tiebreak, self._aux, self._hip,
-            ):
-                handle.write(column[lo:hi].tobytes())
+            _write_header(handle, _SHARD_MAGICS[0], self._file_header(
+                columns, start=start, stop=stop, entries=hi - lo,
+                labels=self._labels[start:stop], labels_digest=digest,
+            ))
+            for column in columns:
+                handle.write(column)
+
+    def _layout_mismatch(self, manifest: dict) -> Optional[str]:
+        """Why one shard of the layout *manifest* describes cannot be
+        refreshed from this index (``None`` when it can): the format
+        version, sketch parameters and labels must all be this
+        index's, because entry node ids are global."""
+        for field, mine in (
+            ("version", FORMAT_VERSION),
+            ("flavor", self.flavor), ("k", self.k), ("seed", self.seed),
+            ("rank_sup", self.rank_sup), ("n", self.num_nodes),
+            ("labels_digest", _labels_digest(self._labels)),
+        ):
+            if manifest[field] != mine:
+                return (
+                    f"layout was built with {field}={manifest[field]!r}, "
+                    f"index has {mine!r}"
+                )
+        return None
 
     def write_shard(
         self, directory: Union[str, Path], shard_index: int
@@ -1882,17 +1977,9 @@ class AdsIndex:
         manifest_path = directory / MANIFEST_NAME
         manifest = _parse_manifest(manifest_path)
         self._check_saveable_labels()
-        digest = _labels_digest(self._labels)
-        for field, mine in (
-            ("flavor", self.flavor), ("k", self.k), ("seed", self.seed),
-            ("rank_sup", self.rank_sup), ("n", self.num_nodes),
-            ("labels_digest", digest),
-        ):
-            if manifest[field] != mine:
-                raise EstimatorError(
-                    f"{manifest_path}: layout was built with "
-                    f"{field}={manifest[field]!r}, index has {mine!r}"
-                )
+        mismatch = self._layout_mismatch(manifest)
+        if mismatch is not None:
+            raise EstimatorError(f"{manifest_path}: {mismatch}")
         entries = manifest["shards"]
         if not 0 <= shard_index < len(entries):
             raise ParameterError(
@@ -1900,7 +1987,9 @@ class AdsIndex:
             )
         shard = entries[shard_index]
         start, stop = shard["start"], shard["stop"]
-        self._write_shard_file(directory / shard["file"], start, stop, digest)
+        self._write_shard_file(
+            directory / shard["file"], start, stop, manifest["labels_digest"]
+        )
         shard["entries"] = self._offsets[stop] - self._offsets[start]
         manifest["entries"] = sum(s["entries"] for s in entries)
         # Shard then manifest, both atomic: at every crash point the
@@ -1968,58 +2057,78 @@ class AdsIndex:
         kernel_parallel.parse_workers(kernel_workers)
         path = Path(path)
         if path.is_dir():
-            return cls._load_sharded(
-                path / MANIFEST_NAME, mmap=mmap, backend=backend,
-                kernel_workers=kernel_workers,
-            )
+            path = path / MANIFEST_NAME
         if path.name == MANIFEST_NAME:
-            return cls._load_sharded(
-                path, mmap=mmap, backend=backend,
-                kernel_workers=kernel_workers,
-            )
+            return cls._load_sharded(path, mmap, backend, kernel_workers)
         with open(path, "rb") as handle:
-            header = _read_json_header(handle, path, _MAGIC, "AdsIndex")
-            try:
-                flavor = header["flavor"]
-                k = header["k"]
-                seed = header["seed"]
-                rank_sup = header["rank_sup"]
-                labels = header["labels"]
-                n = header["n"]
-                entries = header["entries"]
-                swap = header["byteorder"] != sys.byteorder
-            except KeyError as error:
-                raise EstimatorError(f"{path}: corrupt header ({error})")
-            if not (isinstance(n, int) and isinstance(entries, int)
-                    and n >= 0 and entries >= 0):
-                raise EstimatorError(f"{path}: corrupt header counts")
-            if mmap and not swap:
-                counts = [n + 1] + [entries] * len(_COLUMN_TYPECODES)
-                views = map_file_columns(
-                    path, handle.fileno(), handle.tell(), counts,
-                    ("q",) + _COLUMN_TYPECODES,
-                )
-                offsets, columns = views[0], views[1:]
-            else:
-                offsets = _read_column(handle, path, "q", n + 1, swap)
-                columns = [
-                    _read_column(handle, path, typecode, entries, swap)
-                    for typecode in _COLUMN_TYPECODES
-                ]
-                mmap = False
+            return cls._read_single(
+                handle, path, mmap, backend, kernel_workers
+            )
+
+    @classmethod
+    def _read_single(
+        cls, handle, path, mmap: bool, backend: str, kernel_workers
+    ) -> "AdsIndex":
+        """Parse the single-file layout from an open binary handle."""
+        version, header = _read_header(
+            handle, path, _MAGICS, "AdsIndex",
+            ("flavor", "k", "seed", "rank_sup", "labels", "n", "entries",
+             "byteorder"),
+        )
+        typecodes, counts = _file_layout(path, version, header, header["n"])
+        # Zero-copy views need the current layout in native byte order;
+        # anything else (foreign-endian, version 1) loads eagerly.
+        mmap = mmap and version == FORMAT_VERSION and (
+            header["byteorder"] == sys.byteorder
+        )
+        if mmap:
+            columns = map_file_columns(
+                path, handle.fileno(), handle.tell(), counts, typecodes
+            )
+        else:
+            columns = _read_columns(handle, path, typecodes, counts, header)
+        index = cls._assemble(
+            path, version, header, header["labels"], columns[0], columns[1:],
+            mmap, backend, kernel_workers,
+        )
+        if mmap:
+            index._mmap_paths = frozenset({path.resolve()})
+        return index
+
+    @classmethod
+    def _assemble(
+        cls, path, version: int, params: dict, labels, offsets, columns,
+        mmap: bool, backend: str, kernel_workers,
+    ) -> "AdsIndex":
+        """Construct the index a file (or sharded layout) described,
+        converting version-1 columns and holding their stored ranks and
+        tiebreaks against the tables the seed derives."""
+        legacy = None
+        if version != FORMAT_VERSION:
+            columns, legacy = _convert_v1(columns, params["flavor"], path)
         try:
             index = cls(
-                flavor, k, seed, labels, offsets, *columns,
-                rank_sup=rank_sup, validate_columns=not mmap,
-                backend=backend, kernel_workers=kernel_workers,
+                params["flavor"], params["k"], params["seed"], labels,
+                offsets, *columns, rank_sup=params["rank_sup"],
+                validate_columns=not mmap, backend=backend,
+                kernel_workers=kernel_workers,
             )
         except (ParameterError, TypeError, ValueError) as error:
             # Parseable-but-nonsensical header fields (bogus flavor,
             # k <= 0, non-numeric values): corruption, not a caller bug.
             raise EstimatorError(f"{path}: corrupt header ({error})")
+        if legacy is not None:
+            entries = index.num_entries
+            tiebreaks = index._node_tables[0]
+            if legacy != (
+                array("d", index._slice_ranks(0, entries)[1]),
+                array("Q", map(tiebreaks.__getitem__, index._node)),
+            ):
+                raise EstimatorError(
+                    f"{path}: stored ranks / tiebreaks are not the ones "
+                    f"seed {index.seed} assigns to these labels"
+                )
         index.mmap_backed = mmap
-        if mmap:
-            index._mmap_paths = frozenset({path.resolve()})
         return index
 
     @classmethod
@@ -2031,14 +2140,17 @@ class AdsIndex:
 
         Eager mode concatenates every shard's columns into owned
         arrays.  ``mmap=True`` reads only the manifest, the per-shard
-        JSON headers, and the small per-node offset columns; the six
-        entry columns become :class:`~repro.ads.mmap_io.ShardedColumn`
-        views that map each shard file on the first query touching it.
+        JSON headers, and the small per-node offset columns; the entry
+        columns become :class:`~repro.ads.mmap_io.ShardedColumn` views
+        that map each shard file on the first query touching it.
         """
         manifest = _parse_manifest(manifest_path)
         n = manifest["n"]
-        offsets = array("q", [0])
-        columns = [array(typecode) for typecode in _COLUMN_TYPECODES]
+        offsets = array(OFFSETS_TYPECODE, [0])
+        typecodes, _ = _file_layout(
+            manifest_path, manifest["version"], manifest, n
+        )
+        columns = [array(typecode) for typecode in typecodes[1:]]
         shard_specs: List[ShardSpec] = []
         labels: List[Hashable] = []
         base = 0
@@ -2051,28 +2163,24 @@ class AdsIndex:
                     f"{manifest_path}: missing shard file ({error})"
                 )
             with handle:
-                header = _read_json_header(
-                    handle, shard_path, _SHARD_MAGIC, "AdsIndex shard"
+                version, header = _read_header(
+                    handle, shard_path, _SHARD_MAGICS, "AdsIndex shard",
+                    ("flavor", "k", "seed", "rank_sup", "n", "start", "stop",
+                     "labels_digest", "labels", "entries", "byteorder"),
                 )
-                try:
-                    swap = header["byteorder"] != sys.byteorder
-                    shard_labels = header["labels"]
-                    count = header["entries"]
-                    claimed = {
-                        field: header[field]
-                        for field in ("flavor", "k", "seed", "rank_sup", "n",
-                                      "start", "stop", "labels_digest")
-                    }
-                except KeyError as error:
-                    raise EstimatorError(
-                        f"{shard_path}: corrupt shard header ({error})"
-                    )
+                claimed = {
+                    field: header[field]
+                    for field in ("flavor", "k", "seed", "rank_sup", "n",
+                                  "start", "stop", "labels_digest")
+                }
+                claimed["version"] = version
                 expected = {
                     "flavor": manifest["flavor"], "k": manifest["k"],
                     "seed": manifest["seed"],
                     "rank_sup": manifest["rank_sup"], "n": n,
                     "start": shard["start"], "stop": shard["stop"],
                     "labels_digest": manifest["labels_digest"],
+                    "version": manifest["version"],
                 }
                 if claimed != expected:
                     raise EstimatorError(
@@ -2080,46 +2188,50 @@ class AdsIndex:
                         f"(shard claims {claimed}, manifest expects "
                         f"{expected})"
                     )
-                if not (isinstance(count, int) and count >= 0):
-                    raise EstimatorError(f"{shard_path}: corrupt entry count")
-                if mmap and swap:
-                    # A foreign-endian shard cannot be viewed zero-copy;
-                    # reload the whole layout eagerly (byteswapping).
-                    return cls._load_sharded(
-                        manifest_path, mmap=False, backend=backend,
-                        kernel_workers=kernel_workers,
-                    )
                 span = shard["stop"] - shard["start"]
-                if len(shard_labels) != span:
+                _, counts = _file_layout(shard_path, version, header, span)
+                count = header["entries"]
+                if mmap and (
+                    version != FORMAT_VERSION
+                    or header["byteorder"] != sys.byteorder
+                ):
+                    # Only current-layout, native-endian shards can be
+                    # viewed zero-copy; reload the whole layout eagerly
+                    # (converting / byteswapping).
+                    return cls._load_sharded(
+                        manifest_path, False, backend, kernel_workers
+                    )
+                if not (isinstance(header["labels"], list)
+                        and len(header["labels"]) == span):
                     raise EstimatorError(
-                        f"{shard_path}: {len(shard_labels)} labels for a "
+                        f"{shard_path}: labels do not cover its "
                         f"{span}-node range"
                     )
-                shard_offsets = _read_column(
-                    handle, shard_path, "q", span + 1, swap
-                )
-                if shard_offsets[0] != 0 or shard_offsets[-1] != count:
-                    raise EstimatorError(
-                        f"{shard_path}: shard offsets do not span its "
-                        "entries"
-                    )
-                offsets.extend(value + base for value in shard_offsets[1:])
                 if mmap:
+                    shard_offsets = _read_columns(
+                        handle, shard_path, typecodes[:1], counts[:1], header
+                    )[0]
                     data_start = handle.tell()
-                    file_size = os.fstat(handle.fileno()).st_size
-                    if file_size < data_start + 8 * count * len(
-                        _COLUMN_TYPECODES
+                    if os.fstat(handle.fileno()).st_size < (
+                        data_start + expected_bytes(typecodes[1:], counts[1:])
                     ):
                         raise EstimatorError(f"{shard_path}: truncated file")
                     shard_specs.append(
                         ShardSpec(shard_path, data_start, count, base)
                     )
                 else:
-                    for column, typecode in zip(columns, _COLUMN_TYPECODES):
-                        column.extend(_read_column(
-                            handle, shard_path, typecode, count, swap
-                        ))
-                labels.extend(shard_labels)
+                    shard_offsets, *shard_columns = _read_columns(
+                        handle, shard_path, typecodes, counts, header
+                    )
+                    for column, part in zip(columns, shard_columns):
+                        column.extend(part)
+                if shard_offsets[0] != 0 or shard_offsets[-1] != count:
+                    raise EstimatorError(
+                        f"{shard_path}: shard offsets do not span its "
+                        "entries"
+                    )
+                offsets.extend(value + base for value in shard_offsets[1:])
+                labels.extend(header["labels"])
                 base += count
         if _labels_digest(labels) != manifest["labels_digest"]:
             raise EstimatorError(
@@ -2127,21 +2239,15 @@ class AdsIndex:
                 "manifest digest"
             )
         if mmap:
-            maps = ShardMaps(shard_specs, _COLUMN_TYPECODES)
+            maps = ShardMaps(shard_specs, typecodes[1:])
             columns = [
                 ShardedColumn(maps, position, typecode)
-                for position, typecode in enumerate(_COLUMN_TYPECODES)
+                for position, typecode in enumerate(typecodes[1:])
             ]
-        try:
-            index = cls(
-                manifest["flavor"], manifest["k"], manifest["seed"], labels,
-                offsets, *columns, rank_sup=manifest["rank_sup"],
-                validate_columns=not mmap, backend=backend,
-                kernel_workers=kernel_workers,
-            )
-        except (ParameterError, TypeError, ValueError) as error:
-            raise EstimatorError(f"{manifest_path}: corrupt layout ({error})")
-        index.mmap_backed = mmap
+        index = cls._assemble(
+            manifest_path, manifest["version"], manifest, labels, offsets,
+            columns, mmap, backend, kernel_workers,
+        )
         if mmap:
             index._mmap_paths = frozenset(
                 spec.path.resolve() for spec in shard_specs

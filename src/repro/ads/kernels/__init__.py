@@ -4,7 +4,9 @@ Every batch query the index serves -- the all-nodes cardinality sweep,
 the closeness sweep, the whole-graph neighborhood function, the HIP
 prefix-sum (cum-hip) materialisation, and the per-slice HIP-weight
 recompute behind dynamic updates -- reduces to bulk arithmetic over the
-flat entry columns.  This package holds that arithmetic twice:
+flat entry columns (distance, HIP weight, node; the similarity ops
+gather each slice's ranks from the per-node table through the node
+column).  This package holds that arithmetic twice:
 
 * :mod:`repro.ads.kernels.pure` -- the reference loops, stdlib only.
   Always importable; the authority on every float.

@@ -379,16 +379,16 @@ def neighborhood_series(views: Views) -> List[Tuple[float, float]]:
 class SimViews:
     """Prepared ndarray views over the similarity columns.
 
-    Same zero-copy rules as :class:`Views`; the entry-node and rank
-    columns ride along because similarity estimators read sketch
-    membership, not HIP mass.
+    Same zero-copy rules as :class:`Views`; the entry-node column and
+    the n-length table of node ranks ride along because similarity
+    estimators read sketch membership, not HIP mass.
     """
 
     __slots__ = ("offsets", "node", "dist", "rank", "starts", "ends", "n")
 
     def __init__(self, offsets, node, dist, rank):
         self.offsets = _as_ndarray(offsets, np.int64)
-        self.node = _as_ndarray(node, np.int64)
+        self.node = _as_ndarray(node, np.uint32)
         self.dist = _as_ndarray(dist, np.float64)
         self.rank = _as_ndarray(rank, np.float64)
         self.starts = self.offsets[:-1]
@@ -398,6 +398,20 @@ class SimViews:
 
 def prepare_similarity_views(offsets, node, dist, rank) -> SimViews:
     return SimViews(offsets, node, dist, rank)
+
+
+def _slice_ranks(
+    views: SimViews, lo: int, hi: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ranks, nodes)`` of entry slots ``[lo, hi)``: one gather from
+    the per-node rank table through the node column.  Ids are unsigned,
+    so a hostile one overruns the table and NumPy's bounds check
+    catches it."""
+    nodes = views.node[lo:hi]
+    try:
+        return views.rank.take(nodes), nodes
+    except IndexError:
+        raise _pure.bad_node_id(nodes.tolist(), lo, len(views.rank)) from None
 
 
 def _minhash_for_slice(
@@ -411,8 +425,7 @@ def _minhash_for_slice(
     lo = int(views.starts[i])
     hi = int(views.ends[i])
     cutoff = lo + int(np.searchsorted(views.dist[lo:hi], d, side="right"))
-    ranks = views.rank[lo:cutoff]
-    nodes = views.node[lo:cutoff]
+    ranks, nodes = _slice_ranks(views, lo, cutoff)
     order = np.lexsort((nodes, ranks))[:k]
     return list(zip(ranks[order].tolist(), nodes[order].tolist()))
 
@@ -460,15 +473,12 @@ def pairs_closeness_similarity(
     scalar work over <= k-entry sketches, so this kernel only extracts
     the slices (``tolist`` of the column views) and runs the shared
     core, :func:`repro.ads.kernels.pure.closeness_sweep`."""
-    starts, ends = views.starts, views.ends
-    node, dist, rank = views.node, views.dist, views.rank
+    starts, ends, dist = views.starts, views.ends, views.dist
 
     def slice_of(i: int) -> _pure.SweepSlice:
         lo, hi = int(starts[i]), int(ends[i])
-        return (
-            dist[lo:hi].tolist(),
-            list(zip(rank[lo:hi].tolist(), node[lo:hi].tolist())),
-        )
+        ranks, nodes = _slice_ranks(views, lo, hi)
+        return dist[lo:hi].tolist(), list(zip(ranks.tolist(), nodes.tolist()))
 
     return _pure.sweep_pairs(slice_of, pairs, k)
 

@@ -80,7 +80,6 @@ from repro.ads import kernels as _kernels
 from repro.ads.kernels import pure
 from repro.ads.mmap_io import ShardedColumn, map_file_columns
 from repro.errors import ParameterError, EstimatorError
-from repro.rand.hashing import HashFamily
 
 WORKERS_ENV_VAR = "REPRO_KERNEL_WORKERS"
 POOL_ENV_VAR = "REPRO_KERNEL_POOL"
@@ -93,13 +92,6 @@ POOL_CHOICES = ("auto", "thread", "process")
 # (measured with benchmarks/bench_kernels.py; see BENCH_kernels.json's
 # worker series).  Explicit worker counts bypass the gate.
 AUTO_MIN_ENTRIES = 65536
-
-# The six persisted entry columns, in file order (mirrors
-# repro.ads.index._COLUMN_TYPECODES; worker processes re-mapping a
-# shard need the layout without importing the index module).
-_COLUMN_TYPECODES = ("q", "d", "d", "Q", "q", "d")
-_DIST_COLUMN = 1
-_HIP_COLUMN = 5
 
 
 # ----------------------------------------------------------------------
@@ -443,13 +435,16 @@ class ParallelViews:
                     self._payloads = payloads
         return payloads
 
-    @staticmethod
-    def _build_payload(part: _Partition) -> tuple:
+    def _build_payload(self, part: _Partition) -> tuple:
         offsets_bytes = part.offsets.tobytes()
         if part.spec is not None:
+            # The file's column layout travels with the descriptor, so
+            # the worker re-maps without knowing the index format.
+            typecodes, dist_position = self._dist.remap
             return (
                 "shard", offsets_bytes, str(part.spec.path),
                 part.spec.data_start, part.spec.count,
+                (typecodes, dist_position, self._hip.remap[1]),
             )
         return (
             "buffer", offsets_bytes, bytes(part.dist), bytes(part.hip),
@@ -473,15 +468,16 @@ def _worker_kernel(name: str):
 def _payload_columns(payload: tuple):
     """Rehydrate one partition's (offsets, dist, hip) in a worker."""
     if payload[0] == "shard":
-        _, offsets_bytes, path, data_start, count = payload
+        _, offsets_bytes, path, data_start, count, remap = payload
+        typecodes, dist_position, hip_position = remap
         offsets = array("q")
         offsets.frombytes(offsets_bytes)
         with open(path, "rb") as handle:
             columns = map_file_columns(
                 Path(path), handle.fileno(), data_start,
-                [count] * len(_COLUMN_TYPECODES), _COLUMN_TYPECODES,
+                [count] * len(typecodes), typecodes,
             )
-        return offsets, columns[_DIST_COLUMN], columns[_HIP_COLUMN]
+        return offsets, columns[dist_position], columns[hip_position]
     _, offsets_bytes, dist_bytes, hip_bytes = payload
     offsets = array("q")
     offsets.frombytes(offsets_bytes)
@@ -514,24 +510,19 @@ def _partition_task(payload: tuple, backend_name: str, op: str,
     raise ParameterError(f"unknown partition op {op!r}")
 
 
-def _weights_chunk(kernel, flavor: str, k: int, family: HashFamily,
+def _weights_chunk(kernel, flavor: str, k: int,
                    chunk: Sequence[tuple]) -> Dict[int, List[float]]:
-    """HIP weights for one chunk of ``(vid, records, entry_labels)``."""
+    """HIP weights for one chunk of ``(vid, records, rank_vectors)``."""
     return {
-        vid: slice_hip_weights(
-            kernel, flavor, k, records, entry_labels, family
-        )
-        for vid, records, entry_labels in chunk
+        vid: slice_hip_weights(kernel, flavor, k, records, rank_vectors)
+        for vid, records, rank_vectors in chunk
     }
 
 
 def _weights_chunk_task(backend_name: str, flavor: str, k: int,
-                        seed: int, chunk: Sequence[tuple]):
-    """Process-pool form of :func:`_weights_chunk`: the hash family is
-    rebuilt from its seed (a cheap value object) instead of pickled."""
-    return _weights_chunk(
-        _worker_kernel(backend_name), flavor, k, HashFamily(seed), chunk
-    )
+                        chunk: Sequence[tuple]):
+    """Process-pool form of :func:`_weights_chunk`."""
+    return _weights_chunk(_worker_kernel(backend_name), flavor, k, chunk)
 
 
 # ----------------------------------------------------------------------
@@ -542,17 +533,17 @@ def slice_hip_weights(
     flavor: str,
     k: int,
     records: Sequence[tuple],
-    entry_labels: Optional[Sequence],
-    family: HashFamily,
+    rank_vectors: Optional[Sequence[Sequence[float]]] = None,
 ) -> List[float]:
-    """Section-5 adjusted weights of one rewritten slice.
+    """Section-5 adjusted weights of one node's slice, given as builder
+    records in scan order.
 
-    Must agree float-for-float with the build-time HIP column pass on
-    the same slice -- it runs the identical per-flavor estimator over
-    the identical scan order, on the given kernel's (bit-identical)
-    weight functions.  *entry_labels* carries each record's node label
-    and is consulted only for k-mins (whose merged first-occurrence
-    view hashes labels); pass ``None`` otherwise.
+    The one HIP pass: the index build runs it over every slice and
+    ``apply_edges`` over the rewritten ones, so a patched slice carries
+    the weights a from-scratch build would (the kernels' weight
+    functions are bit-identical).  *rank_vectors* holds each record's
+    node's rank under all k permutations and is consulted only for
+    k-mins, whose weights live on the merged first-occurrence view.
     """
     if not records:
         return []
@@ -574,11 +565,9 @@ def slice_hip_weights(
             continue
         seen.add(entry_node)
         merged_positions.append(position)
-    vectors = [
-        [family.rank(entry_labels[position], h) for h in range(k)]
-        for position in merged_positions
-    ]
-    merged_weights = kernel.k_mins_hip_weights(vectors, k)
+    merged_weights = kernel.k_mins_hip_weights(
+        [rank_vectors[position] for position in merged_positions], k
+    )
     weights = [0.0] * len(records)
     for position, weight in zip(merged_positions, merged_weights):
         weights[position] = weight
@@ -602,7 +591,7 @@ class ParallelKernel:
     """Partition-parallel facade over one base kernel module.
 
     Duck-types the kernel API (``NAME``, ``prepare_views``, the batch
-    ops, the HIP-weight functions), so :class:`~repro.ads.index.AdsIndex`
+    ops), so :class:`~repro.ads.index.AdsIndex`
     holds it exactly like a kernel module.  Every op merges partition
     results in fixed partition order and falls back to the serial base
     kernel whenever pools are unavailable -- the floats never change,
@@ -818,25 +807,15 @@ class ParallelKernel:
         )
 
     # -- per-slice HIP weights (dynamic updates) ------------------------
-    def bottom_k_hip_weights(self, ranks, k: int) -> List[float]:
-        return self._base.bottom_k_hip_weights(ranks, k)
-
-    def k_mins_hip_weights(self, rank_vectors, k: int) -> List[float]:
-        return self._base.k_mins_hip_weights(rank_vectors, k)
-
-    def k_partition_hip_weights(self, entries, k: int) -> List[float]:
-        return self._base.k_partition_hip_weights(entries, k)
-
     def slice_weights_map(
         self,
         flavor: str,
         k: int,
-        family: HashFamily,
         items: Sequence[tuple],
     ) -> Optional[Dict[int, List[float]]]:
         """HIP weights for many dirty slices at once.
 
-        *items* is an ordered ``(vid, records, entry_labels)`` sequence
+        *items* is an ordered ``(vid, records, rank_vectors)`` sequence
         (see :func:`slice_hip_weights`); chunks fan out across the
         pool and merge into ``{vid: weights}``.  Returns ``None`` when
         fan-out is not worthwhile or no pool is available -- the caller
@@ -853,16 +832,13 @@ class ParallelKernel:
         if mode == "process":
             futures = [
                 executor.submit(
-                    _weights_chunk_task, self.NAME, flavor, k,
-                    family.seed, chunk,
+                    _weights_chunk_task, self.NAME, flavor, k, chunk
                 )
                 for chunk in chunks
             ]
         else:
             futures = [
-                executor.submit(
-                    _weights_chunk, self._base, flavor, k, family, chunk
-                )
+                executor.submit(_weights_chunk, self._base, flavor, k, chunk)
                 for chunk in chunks
             ]
         pieces = self._gather(futures, mode)

@@ -170,7 +170,10 @@ def neighborhood_series(views: Columns) -> List[Tuple[float, float]]:
 # Similarity / distance-oracle ops (bottom-k flavor only).
 #
 # These operate on a second prepared view (:class:`SimColumns`) that
-# carries the entry-node and rank columns alongside offsets/distances.
+# carries the entry-node column and the per-node rank table alongside
+# offsets/distances.  A rank is a function of the node (Section 2), so
+# each op gathers its slice's ranks through the node column; no
+# per-entry rank column exists.
 # All callers gate on the bottom-k flavor first: the ops assume each
 # slice lists distinct entry nodes whose extracted MinHash sketches are
 # k-samples without replacement (the coordination property Section 5 of
@@ -181,7 +184,8 @@ def neighborhood_series(views: Columns) -> List[Tuple[float, float]]:
 
 
 class SimColumns(NamedTuple):
-    """The pure kernel's similarity view: entry columns plus ranks."""
+    """The pure kernel's similarity view: entry columns plus the
+    n-length table of node ranks."""
 
     offsets: Sequence[int]
     node: Sequence[int]
@@ -195,6 +199,31 @@ def prepare_similarity_views(offsets, node, dist, rank) -> SimColumns:
     return SimColumns(offsets, node, dist, rank, len(offsets) - 1)
 
 
+def bad_node_id(nodes: Sequence[int], lo: int, n: int) -> EstimatorError:
+    """The error for a node-column slice (starting at entry slot *lo*)
+    holding an id outside ``[0, n)``.  Mapped loads skip the load-time
+    id scan, so the readers that look an id up check it here."""
+    slot, node_id = next(
+        (lo + i, v) for i, v in enumerate(nodes) if not 0 <= v < n
+    )
+    return EstimatorError(
+        f"corrupt index: node column slot {slot} holds id {node_id}, "
+        f"outside [0, {n})"
+    )
+
+
+def slice_keys(views: SimColumns, lo: int, hi: int) -> List[Tuple[float, int]]:
+    """The ``(rank, node)`` keys of entry slots ``[lo, hi)``, each rank
+    looked up in the per-node table.  Ids are unsigned, so a hostile
+    one can only overrun the table."""
+    nodes = views.node[lo:hi]
+    rank = views.rank
+    try:
+        return [(rank[v], v) for v in nodes]
+    except IndexError:
+        raise bad_node_id(nodes, lo, len(rank)) from None
+
+
 def minhash_for_slice(
     views: SimColumns, i: int, d: float, k: int
 ) -> List[Tuple[float, int]]:
@@ -204,8 +233,7 @@ def minhash_for_slice(
     offsets = views.offsets
     lo, hi = offsets[i], offsets[i + 1]
     cutoff = bisect_right(views.dist, d, lo, hi)
-    pairs = sorted(zip(views.rank[lo:cutoff], views.node[lo:cutoff]))
-    return pairs[:k]
+    return sorted(slice_keys(views, lo, cutoff))[:k]
 
 
 def union_sketch(
@@ -407,13 +435,11 @@ def pairs_closeness_similarity(
     slices' distinct entry distances -- exactly
     ``repro.centrality.similarity.closeness_similarity`` with default
     weights, computed by :func:`closeness_sweep`."""
-    offsets, node, dist, rank = (
-        views.offsets, views.node, views.dist, views.rank
-    )
+    offsets, dist = views.offsets, views.dist
 
     def slice_of(i: int) -> SweepSlice:
         lo, hi = offsets[i], offsets[i + 1]
-        return list(dist[lo:hi]), list(zip(rank[lo:hi], node[lo:hi]))
+        return list(dist[lo:hi]), slice_keys(views, lo, hi)
 
     return sweep_pairs(slice_of, pairs, k)
 

@@ -9,10 +9,15 @@ bytes, so a multi-gigabyte index starts serving in milliseconds:
   (:func:`map_file_columns`).  Nothing is copied; the OS pages bytes in
   on first touch.
 * **sharded layout** -- only the manifest and the per-shard JSON headers
-  (plus the small per-node offsets) are read at load time.  The six
-  entry columns become :class:`ShardedColumn` objects that map each
-  shard file lazily, on the first query that touches a node of that
-  shard (:class:`ShardMaps`).
+  (plus the small per-node offsets) are read at load time.  The entry
+  columns become :class:`ShardedColumn` objects that map each shard
+  file lazily, on the first query that touches a node of that shard
+  (:class:`ShardMaps`).
+
+This module also owns the one description of what an entry *is* on
+disk and in memory (:data:`ENTRY_COLUMNS`, :func:`expected_bytes`): the
+index, the mappers here and the kernel process pool's shard re-map all
+read the layout from it.
 
 Lifetime rules: the mapped :class:`memoryview` objects hold their
 ``mmap.mmap`` alive, and the index holds the column views, so the
@@ -30,11 +35,32 @@ import threading
 from array import array
 from bisect import bisect_right
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EstimatorError
 
-_WORD = 8  # every persisted column is 8 bytes per entry
+# One ADS entry is a (node, distance) pair plus its HIP weight; rank and
+# tiebreak are functions of (seed, node) and live in per-node tables,
+# never per entry.  8-byte columns come first so that every column
+# starts aligned behind the 8-aligned header.  Node ids are unsigned:
+# no bit pattern is a negative id, so a hostile one is simply out of
+# range.  ``aux`` is the k-mins permutation / k-partition bucket.
+_BOTTOM_K_COLUMNS = (("dist", "d"), ("hip", "d"), ("node", "I"))
+ENTRY_COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "bottomk": _BOTTOM_K_COLUMNS,
+    "kmins": _BOTTOM_K_COLUMNS + (("aux", "I"),),
+    "kpartition": _BOTTOM_K_COLUMNS + (("aux", "I"),),
+}
+OFFSETS_TYPECODE = "q"
+
+
+def expected_bytes(typecodes: Sequence[str], counts: Sequence[int]) -> int:
+    """Bytes taken by ``counts[i]`` values of each ``typecodes[i]``
+    stored back to back."""
+    return sum(
+        array(typecode).itemsize * count
+        for typecode, count in zip(typecodes, counts)
+    )
 
 
 def map_file_columns(
@@ -46,21 +72,21 @@ def map_file_columns(
 ) -> List[memoryview]:
     """Map *path* once and cast one zero-copy view per column.
 
-    ``counts[i]`` entries of 8-byte ``typecodes[i]`` values are expected
-    back-to-back starting at byte ``data_start``.  Raises
-    :class:`EstimatorError` when the file is too short for the claimed
-    counts (the mmap equivalent of the eager loader's "truncated file").
+    ``counts[i]`` values of ``typecodes[i]`` are expected back-to-back
+    starting at byte ``data_start``.  Raises :class:`EstimatorError`
+    when the file is too short for the claimed counts (the mmap
+    equivalent of the eager loader's "truncated file").
     """
-    need = data_start + _WORD * sum(counts)
-    size = os.fstat(fileno).st_size
-    if size < need:
+    if os.fstat(fileno).st_size < data_start + expected_bytes(
+        typecodes, counts
+    ):
         raise EstimatorError(f"{path}: truncated file")
     mapped = mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)
     view = memoryview(mapped)
     columns = []
     position = data_start
     for count, typecode in zip(counts, typecodes):
-        stop = position + _WORD * count
+        stop = position + expected_bytes([typecode], [count])
         columns.append(view[position:stop].cast(typecode))
         position = stop
     return columns
@@ -89,8 +115,8 @@ class ShardSpec:
 class ShardMaps:
     """Lazily memory-maps shard files and hands out their column views.
 
-    One instance is shared by the six :class:`ShardedColumn` objects of
-    a lazily loaded index, so touching any column of a shard maps the
+    One instance is shared by the :class:`ShardedColumn` objects of a
+    lazily loaded index, so touching any column of a shard maps the
     whole shard exactly once.  Mapping is guarded by a lock -- a
     threaded server may race two first-touches of the same shard.
     """
@@ -176,6 +202,13 @@ class ShardedColumn:
         return len(self._maps.specs)
 
     @property
+    def remap(self) -> Tuple[Tuple[str, ...], int]:
+        """``(file typecodes, this column's position)``: with a
+        :class:`ShardSpec`'s coordinates, all a worker process needs to
+        map the same shard column itself."""
+        return self._maps.typecodes, self._column
+
+    @property
     def shard_specs(self) -> tuple:
         """The backing :class:`ShardSpec` objects in global entry order.
 
@@ -252,14 +285,6 @@ class ShardedColumn:
             for shard, spec in enumerate(self._maps.specs)
             if spec.count
         )
-
-    def __eq__(self, other) -> bool:
-        try:
-            if len(other) != len(self):
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(mine == theirs for mine, theirs in zip(self, other))
 
     def __repr__(self) -> str:
         return (

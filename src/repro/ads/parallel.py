@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro._util import require
 from repro.ads.csr_cores import (
     _SCAN_KEY,
+    NodeTables,
     Record,
     core_for_method,
     flavor_competitions,
@@ -175,6 +176,7 @@ def build_flat_entries_sharded(
     stats: BuildStats,
     workers: int = 1,
     shards: Optional[int] = None,
+    tables: Optional[NodeTables] = None,
 ) -> List[List[Record]]:
     """All-nodes flat ADS build, sharded across *workers* processes.
 
@@ -192,7 +194,9 @@ def build_flat_entries_sharded(
     require(shards >= 1, f"shards must be >= 1, got {shards}")
     core_for_method(method)  # validate before planning
     n = graph.num_nodes
-    tiebreaks, competitions = flavor_competitions(graph, k, family, flavor)
+    tiebreaks, competitions = flavor_competitions(
+        graph, k, family, flavor, tables
+    )
 
     tasks: List[ShardTask] = []
     owners: List[int] = []  # competition index of each task

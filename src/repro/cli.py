@@ -272,7 +272,18 @@ def cmd_build_index(args) -> int:
         f"{layout}) -> {args.out}",
         file=sys.stderr,
     )
+    print(_format_line(index), file=sys.stderr)
     return 0
+
+
+def _format_line(index) -> str:
+    """What an entry of *index* costs (``/stats`` reports the same)."""
+    stats = index.format_stats()
+    return (
+        f"# index format v{stats['format_version']}: "
+        f"{stats['entry_bytes']} B/entry of columns, "
+        f"{stats['bytes_per_entry']:g} B/entry in memory"
+    )
 
 
 def cmd_query(args) -> int:
@@ -310,6 +321,8 @@ def cmd_query(args) -> int:
     except (ReproError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 1
+    if args.stats:
+        print(_format_line(index), file=sys.stderr)
     if args.node is not None:
         node = _parse_node(args)
         if node is None:
@@ -1093,6 +1106,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--int-nodes", action="store_true", help="parse --node as an integer"
+    )
+    p.add_argument(
+        "--stats", action="store_true",
+        help="also report the index's storage format and bytes per "
+        "entry on stderr",
     )
     _add_backend_arg(p)
     _add_kernel_workers_arg(p)

@@ -401,13 +401,9 @@ class RouterServer(ServerBase):
                     replica.mark_down(error)
                     continue
                 index_stats = stats.get("index") or {}
-                digest = index_stats.get("labels_digest")
+                replica.observe_topology(index_stats)
+                digest = replica.labels_digest
                 reported = index_stats.get("node_range")
-                replica.labels_digest = digest
-                replica.node_range = (
-                    list(reported)
-                    if isinstance(reported, (list, tuple)) else None
-                )
                 if digest != expected_digest:
                     problems.append(
                         f"{replica.url}: serves a different node set "
@@ -1175,12 +1171,7 @@ class RouterServer(ServerBase):
             stats = replica.call("GET", "/stats")
         except Exception:
             return
-        index_stats = stats.get("index") or {}
-        replica.labels_digest = index_stats.get("labels_digest")
-        reported = index_stats.get("node_range")
-        replica.node_range = (
-            list(reported) if isinstance(reported, (list, tuple)) else None
-        )
+        replica.observe_topology(stats.get("index") or {})
 
 
 class AsyncRouterServer(AsyncTransport, RouterServer):

@@ -102,6 +102,7 @@ class Replica:
         # *actually* serves, surfaced through /stats.
         self.node_range: Optional[List[int]] = None
         self.labels_digest: Optional[str] = None
+        self.index_format: Optional[Dict[str, Any]] = None
         self._lock = threading.Lock()
         self._pool: "queue.LifoQueue[QueryClient]" = queue.LifoQueue(
             maxsize=pool_size
@@ -228,7 +229,21 @@ class Replica:
                 "node_range": list(self.node_range)
                 if self.node_range is not None else None,
                 "labels_digest": self.labels_digest,
+                "index_format": self.index_format,
             }
+
+    def observe_topology(self, index_stats: Dict[str, Any]) -> None:
+        """Record what this worker's ``/stats`` ``index`` block says it
+        serves: its node range, labels digest and storage format."""
+        reported = index_stats.get("node_range")
+        self.node_range = (
+            list(reported) if isinstance(reported, (list, tuple)) else None
+        )
+        self.labels_digest = index_stats.get("labels_digest")
+        self.index_format = {
+            field: index_stats.get(field)
+            for field in ("format_version", "entry_bytes", "bytes_per_entry")
+        }
 
     def close(self) -> None:
         while True:

@@ -833,6 +833,8 @@ class AdsServer(ServerBase):
             # What this worker actually serves -- the router's startup
             # topology validation compares this against --cluster.
             "labels_digest": index.labels_digest(),
+            # format_version / entry_bytes / bytes_per_entry
+            **index.format_stats(),
         }
         if self.node_range is not None:
             # Shard-worker mode: report the sweep range so a router (or

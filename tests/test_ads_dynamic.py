@@ -13,6 +13,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import index_format
+
 from repro.ads import AdsIndex
 from repro.errors import EstimatorError, GraphError, ParameterError
 from repro.graph.csr import CSRGraph
@@ -50,12 +52,7 @@ def _random_case(seed, weighted=None, directed=None):
     return n, directed, base, batches
 
 
-def _columns(index):
-    return (
-        list(index._offsets), list(index._node), list(index._dist),
-        list(index._rank), list(index._tiebreak), list(index._aux),
-        list(index._hip), index.nodes(),
-    )
+_columns = index_format.columns
 
 
 def _rebuilt(graph, k, family, flavor):

@@ -11,6 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import index_format
 from repro.ads import AdsIndex, BuildStats, build_ads_set
 from repro.centrality import all_closeness_centralities, top_k_central_nodes
 from repro.centrality.neighborhood import graph_neighborhood_function
@@ -167,41 +168,71 @@ class TestPersistence:
             AdsIndex.load(path)
 
     def test_rejects_corrupt_headers_and_columns(self, index, tmp_path):
+        import zlib
+
         path = tmp_path / "good.adsidx"
         index.save(path)
         data = path.read_bytes()
         header_len = int.from_bytes(data[8:16], "little")
-        bogus = dict(json.loads(data[16:16 + header_len]), flavor="bogus")
+        start = index_format.data_start(data)
+        assert start == 24 + header_len and start % 8 == 0
+        bogus = dict(json.loads(data[24:start]), flavor="bogus")
         bogus_bytes = json.dumps(bogus).encode()
+
+        def reframed(header_bytes, crc=None):
+            crc = zlib.crc32(header_bytes) if crc is None else crc
+            return (
+                data[:8] + len(header_bytes).to_bytes(8, "little")
+                + crc.to_bytes(8, "little") + header_bytes + data[start:]
+            )
+
         cases = {
             "huge_header_len": data[:8] + (1 << 40).to_bytes(8, "little")
             + data[16:],
-            "garbage_header": data[:16] + b"\xff" * 32 + data[48:],
+            "garbage_header": reframed(b"\xff" * 32),
             "truncated": data[: len(data) // 2],
-            "bogus_flavor": data[:8]
-            + len(bogus_bytes).to_bytes(8, "little")
-            + bogus_bytes
-            + data[16 + header_len:],
+            # a well-formed header that lies, checksummed and all
+            "bogus_flavor": reframed(bogus_bytes),
+            "header_checksum": reframed(data[24:start], crc=12345),
+            "column_bit_flip": data[:-1] + bytes([data[-1] ^ 0x10]),
         }
         for name, payload in cases.items():
             bad = tmp_path / f"{name}.adsidx"
             bad.write_bytes(payload)
             with pytest.raises(EstimatorError):
                 AdsIndex.load(bad)
+            with pytest.raises(EstimatorError):
+                AdsIndex.from_bytes(payload)
 
-    def test_rejects_out_of_range_node_ids(self, index, tmp_path):
-        import struct
-
+    @pytest.mark.parametrize("node_id", [-1, 10_000])
+    def test_rejects_out_of_range_node_ids(
+        self, index, tmp_path, node_id
+    ):
+        # Checksums made to match, so the id scan itself must refuse.
         path = tmp_path / "flip.adsidx"
         index.save(path)
-        data = bytearray(path.read_bytes())
-        # node column starts right after magic+len+header+offsets
-        header_len = int.from_bytes(data[8:16], "little")
-        node_start = 16 + header_len + 8 * (index.num_nodes + 1)
-        struct.pack_into("<q", data, node_start, -1)
-        path.write_bytes(bytes(data))
-        with pytest.raises(EstimatorError):
+        index_format.poke_node_id(
+            path, index.flavor, index.num_nodes, index.num_entries, 3,
+            node_id, fix_checksums=True,
+        )
+        with pytest.raises(EstimatorError, match="node ids"):
             AdsIndex.load(path)
+
+    def test_node_count_limit_is_refused_loudly(
+        self, index, tmp_path, monkeypatch
+    ):
+        # Node ids take four bytes on disk and in memory.
+        from repro.ads import index as index_module
+
+        monkeypatch.setattr(index_module, "MAX_NODES", index.num_nodes)
+        with pytest.raises(EstimatorError, match="four bytes"):
+            index.save(tmp_path / "too-many.adsidx")
+        with pytest.raises(EstimatorError, match="four bytes"):
+            index.save(tmp_path / "too-many", shards=2)
+        with pytest.raises(EstimatorError, match="four bytes"):
+            AdsIndex.build(
+                barabasi_albert_graph(index.num_nodes, 2, seed=1), 2
+            )
 
     def test_rejects_unserialisable_labels(self, family, tmp_path):
         from repro.graph import Graph

@@ -96,11 +96,11 @@ class TestEquivalence:
         index = _build(graph, "bottomk")
         path = _saved(index, tmp_path, layout)
         mmapped = AdsIndex.load(path, mmap=True)
-        for name in ("_node", "_dist", "_rank", "_tiebreak", "_aux",
-                     "_hip"):
+        for name in ("_node", "_dist", "_hip"):
             assert getattr(mmapped, name).tobytes() == getattr(
                 index, name
             ).tobytes()
+        assert mmapped._aux is None and index._aux is None
         assert list(mmapped._offsets) == list(index._offsets)
 
     def test_resave_from_mmap_load_roundtrips(self, graph, tmp_path):

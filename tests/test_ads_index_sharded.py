@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import index_format
 from repro.ads import AdsIndex
 from repro.ads.index import MANIFEST_NAME, shard_ranges
 from repro.errors import EstimatorError, ParameterError
@@ -20,11 +21,7 @@ from repro.rand.hashing import HashFamily
 FAMILY = HashFamily(424_242)
 
 
-def columns(index):
-    return (
-        index._offsets, index._node, index._dist, index._rank,
-        index._tiebreak, index._aux, index._hip, index._cum_hip,
-    )
+columns = index_format.columns
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import index_format
+
 from repro.ads import AdsIndex, BuildStats, build_ads_set
 from repro.ads.csr_cores import build_flat_entries
 from repro.ads.parallel import build_flat_entries_sharded, plan_shards
@@ -57,11 +59,7 @@ GRAPHS = {
 }
 
 
-def columns(index):
-    return (
-        index._offsets, index._node, index._dist, index._rank,
-        index._tiebreak, index._aux, index._hip, index._cum_hip,
-    )
+columns = index_format.columns
 
 
 class TestBitIdenticalIndex:

@@ -120,11 +120,14 @@ def _per_threshold(slice_a, slice_b, k):
     index would hold: both sketches re-extracted at every grid step."""
     (dist_a, keys_a), (dist_b, keys_b) = slice_a, slice_b
     keys = keys_a + keys_b
+    # A rank is a function of the node: the views take the per-node
+    # table and gather through the node column.
+    rank_of = {node: rank for rank, node in keys}
     views = pure.prepare_similarity_views(
         [0, len(keys_a), len(keys)],
         [node for _, node in keys],
         dist_a + dist_b,
-        [rank for rank, _ in keys],
+        [rank_of.get(node, 1.0) for node in range(max(rank_of, default=-1) + 1)],
     )
     grid = sorted(set(dist_a) | set(dist_b))
     total = 0.0

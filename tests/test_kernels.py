@@ -21,6 +21,7 @@ import sys
 
 import pytest
 
+import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.kernels import pure
@@ -199,10 +200,8 @@ class TestDynamicUpdatesAcrossBackends:
     def test_columns_bit_identical(self, flavor, weighted):
         graph_py, index_py = _apply_case(flavor, weighted, "python")
         graph_np, index_np = _apply_case(flavor, weighted, "numpy")
-        for name in ("_offsets", "_node", "_dist", "_rank", "_tiebreak",
-                     "_aux", "_hip"):
-            assert bytes(getattr(index_py, name)) == \
-                bytes(getattr(index_np, name)), name
+        assert index_format.columns(index_py) == \
+            index_format.columns(index_np)
         rebuilt = AdsIndex.build(
             CSRGraph.from_edges(
                 list(graph_np.edges()), directed=False,
@@ -541,11 +540,8 @@ class TestParallelDynamicUpdates:
             assert isinstance(
                 fanned._kernel, kernel_parallel.ParallelKernel
             )
-            for name in ("_offsets", "_node", "_dist", "_rank",
-                         "_tiebreak", "_aux", "_hip"):
-                assert bytes(getattr(serial, name)) == \
-                    bytes(getattr(fanned, name)), (workers, name)
-            assert bytes(serial._cum_cache) == bytes(fanned._cum_cache)
+            assert index_format.columns(serial) == \
+                index_format.columns(fanned), workers
 
 
 class TestWorkerResolution:
