@@ -61,7 +61,7 @@ class _Worker:
     def __init__(self, index_path, node_range=None):
         argv = [
             sys.executable, "-m", "repro", "serve",
-            "--index", str(index_path), "--port", "0", "--threads", "4",
+            "--index", str(index_path), "--port", "0",
         ]
         if node_range is not None:
             start, stop = node_range

@@ -179,8 +179,8 @@ def _resync_sweep():
         # The donor is ahead by one committed batch -- the exact state
         # a quarantined replica missed.
         donor_index.apply_edges(donor_graph, [(0, n - 1)])
-        donor = AdsServer(donor_index, graph=donor_graph, threads=2)
-        stale = AdsServer(stale_index, graph=stale_graph, threads=2)
+        donor = AdsServer(donor_index, graph=donor_graph)
+        stale = AdsServer(stale_index, graph=stale_graph)
         donor.start()
         stale.start()
         try:

@@ -49,7 +49,7 @@ def main() -> None:
 
     # The same daemon `python -m repro serve --index social.adsidx`
     # runs, embedded; port=0 grabs a free port.
-    with AdsServer(served, port=0, cache_size=64, threads=4) as server:
+    with AdsServer(served, port=0, cache_size=64) as server:
         print(f"serving on {server.url}\n")
         with QueryClient(server.url) as client:
             print("single queries (one HTTP round trip each):")

@@ -577,10 +577,8 @@ class AdsIndex:
     def set_kernel_workers(self, kernel_workers) -> None:
         """Re-wire the kernel worker count on a live index.
 
-        The serving layer uses this to cap oversubscription (request
-        threads x kernel workers); queries in flight keep the views
-        they already hold, new queries see the new fan-out.  Floats are
-        unchanged either way.
+        Queries in flight keep the views they already hold, new
+        queries see the new fan-out.  Floats are unchanged either way.
         """
         self._wire_kernel(kernel_workers)
 
@@ -595,7 +593,7 @@ class AdsIndex:
     def _cum_hip(self) -> array:
         """Prefix-sum column, computed on first use for lazy loads.
 
-        Locked: concurrent first batch queries from a threaded server
+        Locked: concurrent first batch queries from several threads
         must not each run the O(entries) pass (and each allocate the
         full 8-bytes-per-entry array) on a freshly mapped index.
         """
@@ -894,9 +892,8 @@ class AdsIndex:
     ) -> List[float]:
         """n_d estimates for an explicit subset of nodes, in one call.
 
-        The serving layer's micro-batch entry point: batch POSTs and
-        the async server's coalesced single-node queries resolve here,
-        so a whole batch costs one index call (and one lock
+        The serving layer's batch entry point: batch POSTs resolve
+        here, so a whole batch costs one index call (and one lock
         acquisition server-side) instead of a round trip per node.
         Exactly ``[node_cardinality_at(label, d) for label in labels]``
         -- same bisect over the distance column, same left-to-right

@@ -117,8 +117,8 @@ class ShardMaps:
 
     One instance is shared by the :class:`ShardedColumn` objects of a
     lazily loaded index, so touching any column of a shard maps the
-    whole shard exactly once.  Mapping is guarded by a lock -- a
-    threaded server may race two first-touches of the same shard.
+    whole shard exactly once.  Mapping is guarded by a lock --
+    concurrent callers may race two first-touches of the same shard.
     """
 
     def __init__(self, specs: Sequence[ShardSpec], typecodes: Sequence[str]):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -63,15 +64,21 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_workers_arg(parser: argparse.ArgumentParser) -> None:
+_AUTO_KERNEL_WORKERS = (
+    "auto, which honours the REPRO_KERNEL_WORKERS env var, then sizes "
+    "to the machine and shard layout, staying serial for small indexes"
+)
+
+
+def _add_kernel_workers_arg(
+    parser: argparse.ArgumentParser, default: str = _AUTO_KERNEL_WORKERS
+) -> None:
     parser.add_argument(
         "--kernel-workers",
         default=None,
         metavar="W",
         help="fan batch queries (and update HIP recomputes) out across "
-        "W cores ('auto' or a positive integer; default: auto, which "
-        "honours the REPRO_KERNEL_WORKERS env var, then sizes to the "
-        "machine and shard layout, staying serial for small indexes). "
+        f"W cores ('auto' or a positive integer; default: {default}). "
         "Results are bit-identical at any worker count.",
     )
 
@@ -646,11 +653,13 @@ def cmd_serve(args) -> int:
     until interrupted.  See :mod:`repro.serve.server` for the endpoint
     reference.  ``--graph GRAPH.txt`` (with ``--no-mmap``) attaches the
     index's graph and enables live edge updates via ``POST /update`` /
-    ``POST /compact``.  ``--async-loop`` swaps the threaded transport
-    for the asyncio pipelined one (same API, one event loop;
-    ``--coalesce-window`` micro-batches concurrent single-node
-    queries), and ``--wire json`` pins responses to JSON even for
-    clients that ask for the binary codec.
+    ``POST /compact``.  Requests are answered inline on one pipelined
+    event loop, so kernels are wired with ``--kernel-workers`` if
+    given, else ``REPRO_KERNEL_WORKERS``, else 1 -- not the
+    hardware-sized ``auto`` the offline commands use: fanned kernel
+    threads would contend with the loop for the interpreter.
+    ``--wire json`` pins responses to JSON even for clients that ask
+    for the binary codec.
 
     Returns:
         0 after a clean shutdown (Ctrl-C), 1 when the index cannot be
@@ -661,21 +670,11 @@ def cmd_serve(args) -> int:
         >>> main(["serve", "--index", "/nonexistent.adsidx"])
         1
     """
-    from repro.serve import AdsServer, AsyncAdsServer
+    from repro.ads.kernels.parallel import WORKERS_ENV_VAR
+    from repro.serve import AdsServer
 
     if args.cache_size < 0:
         print(f"--cache-size must be >= 0, got {args.cache_size}",
-              file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
-    if args.max_in_flight < 1:
-        print(f"--max-in-flight must be >= 1, got {args.max_in_flight}",
-              file=sys.stderr)
-        return 2
-    if args.coalesce_window < 0:
-        print(f"--coalesce-window must be >= 0, got {args.coalesce_window}",
               file=sys.stderr)
         return 2
     if args.graph is not None and args.mmap:
@@ -700,10 +699,15 @@ def cmd_serve(args) -> int:
         # exit 2 is reserved for invalid flag values.
         print(f"index {args.index!r} does not exist", file=sys.stderr)
         return 1
+    kernel_workers = args.kernel_workers
+    if kernel_workers is None and not os.environ.get(
+        WORKERS_ENV_VAR, ""
+    ).strip():
+        kernel_workers = 1
     try:
         index = AdsIndex.load(
             index_path, mmap=args.mmap, backend=args.backend,
-            kernel_workers=args.kernel_workers,
+            kernel_workers=kernel_workers,
         )
         graph = None
         if args.graph is not None:
@@ -712,29 +716,12 @@ def cmd_serve(args) -> int:
                 directed=True if args.directed else None,
                 node_type=_index_node_type(index),
             ).to_csr()
-        if args.async_loop:
-            server = AsyncAdsServer(
-                index, host=args.host, port=args.port,
-                cache_size=args.cache_size,
-                max_in_flight=args.max_in_flight,
-                coalesce_window=args.coalesce_window,
-                wire_mode=args.wire,
-                graph=graph, index_path=index_path, graph_path=args.graph,
-                node_range=node_range, wal_dir=args.wal_dir,
-            )
-            transport = (
-                f"asyncio transport (max_in_flight={args.max_in_flight}, "
-                f"coalesce_window={args.coalesce_window})"
-            )
-        else:
-            server = AdsServer(
-                index, host=args.host, port=args.port,
-                cache_size=args.cache_size, threads=args.threads,
-                wire_mode=args.wire,
-                graph=graph, index_path=index_path, graph_path=args.graph,
-                node_range=node_range, wal_dir=args.wal_dir,
-            )
-            transport = f"{args.threads} threads"
+        server = AdsServer(
+            index, host=args.host, port=args.port,
+            cache_size=args.cache_size, wire_mode=args.wire,
+            graph=graph, index_path=index_path, graph_path=args.graph,
+            node_range=node_range, wal_dir=args.wal_dir,
+        )
     except (ReproError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 1
@@ -758,7 +745,7 @@ def cmd_serve(args) -> int:
         f"flavor={index.flavor}, k={index.k}, {mode} load, "
         f"{index.backend} kernel, {index.kernel_workers} kernel "
         f"worker{'s' if index.kernel_workers != 1 else ''}) on {server.url} "
-        f"with {transport}, cache={args.cache_size}, "
+        f"with the pipelined event loop, cache={args.cache_size}, "
         f"wire={args.wire}{writable}",
         file=sys.stderr,
     )
@@ -819,7 +806,10 @@ def cmd_route(args) -> int:
     range's replicas.  Queries merge exactly (concatenation / k-way
     rank merge / seeded ANF chaining), replicas fail over on transport
     faults, and whole-shard outages shed with a structured 503 naming
-    the unavailable node range.
+    the unavailable node range.  The router rides the same pipelined
+    event loop as ``serve``; because its requests wait on worker
+    RPCs, it answers them from a bounded thread executor instead of
+    inline.
 
     Returns:
         0 after a clean shutdown (Ctrl-C), 1 when the index cannot be
@@ -836,10 +826,6 @@ def cmd_route(args) -> int:
 
     if args.cache_size < 0:
         print(f"--cache-size must be >= 0, got {args.cache_size}",
-              file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print(f"--threads must be >= 1, got {args.threads}",
               file=sys.stderr)
         return 2
     if args.rpc_timeout <= 0:
@@ -878,8 +864,7 @@ def cmd_route(args) -> int:
         router = RouterServer(
             labels, groups,
             host=args.host, port=args.port,
-            cache_size=args.cache_size, threads=args.threads,
-            wire_mode=args.wire,
+            cache_size=args.cache_size, wire_mode=args.wire,
             rpc_timeout=args.rpc_timeout, rpc_wire=args.rpc_wire,
             probe_interval=args.probe_interval,
             writable=args.writable,
@@ -897,7 +882,7 @@ def cmd_route(args) -> int:
         f"# routing {len(labels)} nodes over {len(groups)} shard "
         f"group{'s' if len(groups) != 1 else ''} ({replicas} "
         f"replica{'s' if replicas != 1 else ''}) on {router.url} with "
-        f"{args.threads} threads, rpc={args.rpc_wire}/"
+        f"the pipelined event loop, rpc={args.rpc_wire}/"
         f"{args.rpc_timeout}s, probes every {args.probe_interval}s, "
         f"cache={args.cache_size}{writable}",
         file=sys.stderr,
@@ -1215,33 +1200,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU capacity for whole-graph query results (0 disables)",
     )
     p.add_argument(
-        "--threads", type=int, default=8,
-        help="worker threads handling requests (threaded transport)",
-    )
-    p.add_argument(
-        "--async-loop",
-        action="store_true",
-        help="serve on the asyncio pipelined transport instead of the "
-        "worker-thread pool (same API; higher single-query throughput)",
-    )
-    p.add_argument(
         "--wire",
         choices=("auto", "json"),
         default="auto",
         help="response codec policy: 'auto' answers the compact binary "
         "codec to clients that send Accept: application/x-repro-wire, "
         "'json' pins every response to JSON",
-    )
-    p.add_argument(
-        "--max-in-flight", type=int, default=256,
-        help="async transport: bound on concurrently dispatching "
-        "requests before 503 load shedding",
-    )
-    p.add_argument(
-        "--coalesce-window", type=float, default=0.0,
-        help="async transport: seconds to micro-batch concurrent "
-        "single-node cardinality queries into one kernel call "
-        "(0 disables)",
     )
     p.add_argument(
         "--graph",
@@ -1273,7 +1237,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph, truncated on /compact)",
     )
     _add_backend_arg(p)
-    _add_kernel_workers_arg(p)
+    _add_kernel_workers_arg(
+        p, default="the REPRO_KERNEL_WORKERS env var if set, else 1: "
+        "requests are answered on one event loop, which fanned kernel "
+        "threads would contend with",
+    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1306,10 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-size", type=int, default=256,
         help="LRU capacity for merged whole-graph results (0 disables)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=8,
-        help="router worker threads handling client requests",
     )
     p.add_argument(
         "--wire",

@@ -13,10 +13,10 @@ Example::
     client.cardinality_batch([1, 2, 3])   # many nodes, one round trip
     client.top_central(count=10, kind="harmonic")
 
-The client speaks to either transport (the threaded ``AdsServer`` or
-the asyncio ``AsyncAdsServer``) identically, and can opt into the
-compact binary codec with ``wire_mode="binary"`` -- same payloads,
-negotiated via ``Accept``/``Content-Type``, no API change.
+The client speaks to a single ``AdsServer`` and to the cluster
+``RouterServer`` identically, and can opt into the compact binary
+codec with ``wire_mode="binary"`` -- same payloads, negotiated via
+``Accept``/``Content-Type``, no API change.
 
 Retries are idempotency-aware.  A kept-alive connection the server has
 since closed fails on its next use, so reads (every ``GET``, plus the
@@ -70,7 +70,7 @@ class ServeClientError(ReproError):
 
 
 class QueryClient:
-    """Keep-alive client for one ``AdsServer`` / ``AsyncAdsServer``.
+    """Keep-alive client for one ``AdsServer`` or ``RouterServer``.
 
     Args:
         base_url: Server root, e.g. ``"http://127.0.0.1:8080"``.

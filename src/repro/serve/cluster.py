@@ -80,7 +80,6 @@ from repro._util import require
 from repro.ads.index import _labels_digest
 from repro.centrality.closeness import top_k_central_nodes
 from repro.errors import ReproError
-from repro.serve.aio import AsyncTransport
 from repro.serve.client import ServeClientError
 from repro.serve.membership import (
     STATE_DOWN,
@@ -106,7 +105,12 @@ from repro.serve.schemas import (
     resolve_node,
     resolve_nodes,
 )
-from repro.serve.server import ServerBase, _batch_float
+from repro.serve.server import (
+    DISPATCH_THREADS,
+    MAX_IN_FLIGHT,
+    ServerBase,
+    _batch_float,
+)
 
 #: ``((start, stop_or_None), [replica_url, ...])`` -- one shard group.
 GroupSpec = Tuple[Tuple[int, Optional[int]], Sequence[str]]
@@ -230,9 +234,12 @@ class RouterServer(ServerBase):
             order; the last group's stop is treated as open-ended so
             it also owns nodes appended by updates.  Every URL in a
             group is a replica serving that same range.
-        host / port / cache_size / threads / wire_mode: As on
+        host / port / cache_size / wire_mode: As on
             :class:`~repro.serve.server.AdsServer` (the router carries
             its own LRU for merged sweep results, keyed identically).
+        max_in_flight: Bound on requests dispatched and not yet
+            answered; beyond it new requests are shed with ``503`` +
+            ``Retry-After`` (a stalled worker is what fills it).
         rpc_timeout: Socket timeout per worker RPC -- the bound that
             turns a hung worker into a failover.
         rpc_wire: ``"binary"`` (default) or ``"json"`` worker RPCs;
@@ -279,8 +286,8 @@ class RouterServer(ServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         cache_size: int = 256,
-        threads: int = 8,
         wire_mode: str = "auto",
+        max_in_flight: int = MAX_IN_FLIGHT,
         rpc_timeout: float = 10.0,
         rpc_wire: str = "binary",
         probe_interval: float = 0.0,
@@ -334,14 +341,14 @@ class RouterServer(ServerBase):
                 self._membership.close()
                 raise
         if fanout_workers is None:
-            fanout_workers = max(4, min(32, int(threads) * len(built)))
+            fanout_workers = max(4, min(32, DISPATCH_THREADS * len(built)))
         self._fanout_pool = ThreadPoolExecutor(
             max_workers=fanout_workers,
             thread_name_prefix="repro-route-fanout",
         )
         super().__init__(
             host=host, port=port, cache_size=cache_size,
-            threads=threads, wire_mode=wire_mode,
+            wire_mode=wire_mode, max_in_flight=max_in_flight,
         )
         self._membership.start_probes(self.probe_interval)
         self.start_resync(self.resync_interval)
@@ -353,6 +360,11 @@ class RouterServer(ServerBase):
     # to the registry without a router handler fails fast, not with a
     # cluster-only 404.
     _ROUTE_SCOPES = frozenset({"all"})
+
+    # handle_request blocks on worker RPCs (up to rpc_timeout on a hung
+    # worker), so the connection loop awaits it on the executor; one
+    # slow shard then stalls its own callers, not every connection.
+    _DISPATCH_THREADS = DISPATCH_THREADS
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -641,7 +653,6 @@ class RouterServer(ServerBase):
             "requests": requests,
             "internal_errors": internal,
             "uptime_seconds": time.monotonic() - self.started_at,
-            "threads": self.threads,
             "transport": self._transport_stats(),
             "cache": self.cache.stats(),
             "updates": {
@@ -1174,38 +1185,7 @@ class RouterServer(ServerBase):
         replica.observe_topology(stats.get("index") or {})
 
 
-class AsyncRouterServer(AsyncTransport, RouterServer):
-    """The fan-out router on the asyncio pipelined transport.
-
-    Same routing/merge/failover layer as :class:`RouterServer`;
-    worker RPCs dispatch synchronously from the event loop (the
-    router's work per request is merging, not computing), so this
-    flavor trades per-request transport overhead for head-of-line
-    blocking under slow workers -- the threaded router is the default
-    deployment and ``rpc_timeout`` bounds the stall either way.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[Any],
-        groups: Sequence[GroupSpec],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        cache_size: int = 256,
-        max_in_flight: int = 256,
-        wire_mode: str = "auto",
-        **kwargs: Any,
-    ):
-        self._init_async_transport(max_in_flight)
-        super().__init__(
-            labels, groups, host=host, port=port,
-            cache_size=cache_size, threads=1, wire_mode=wire_mode,
-            **kwargs,
-        )
-
-
 __all__ = [
-    "AsyncRouterServer",
     "ClusterTopologyError",
     "LabelDirectory",
     "RouterServer",

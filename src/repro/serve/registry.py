@@ -5,11 +5,11 @@ path (or a ``/name/<label>`` prefix), its allowed methods, the handler
 *attribute* servers bind it to, which server scopes carry it, and
 whether it takes the exclusive side of the read/write lock.  The
 chassis (:meth:`repro.serve.server.ServerBase._build_routes`) builds
-its dispatch tables from this registry, so the threaded server, the
-asyncio transport, and the cluster router all serve exactly the same
-route table -- an endpoint registered here exists on all of them (or
-404s identically on all of them), and the byte-identity the test suite
-asserts across transports is structural rather than per-endpoint.
+its dispatch tables from this registry, so the single server, the
+shard worker, and the cluster router all serve exactly the same route
+table -- an endpoint registered here exists on all of them (or 404s
+identically on all of them), and the byte-identity the test suite
+asserts across deployments is structural rather than per-endpoint.
 
 Scopes:
 

@@ -1,12 +1,15 @@
 """``AdsServer``: a long-lived JSON query daemon over one ``AdsIndex``.
 
 The paper's workflow is build-once / query-forever (Section 1); this is
-the query-forever half as an actual network service.  A single immutable
+the query-forever half as an actual network service.  A single
 :class:`~repro.ads.index.AdsIndex` -- ideally loaded with ``mmap=True``
-so the process starts serving in milliseconds -- is shared by a bounded
-pool of worker threads behind stdlib ``http.server`` plumbing.  Pure
-Python threads suffice here because every query is read-only over flat
-columns and the hot whole-graph results are LRU-cached.
+so the process starts serving in milliseconds -- answers from one
+asyncio event loop: a hand-rolled HTTP/1.1 keep-alive parser consumes
+a whole TCP segment at a time, every complete *pipelined* request in
+the read buffer is dispatched, and all their responses leave in one
+write, so a segment of N requests costs two syscalls and one round
+trip, not 2N and N.  A point estimate is one bisect and one prefix-sum
+lookup; the transport's job is to add as little as possible to that.
 
 Endpoints (all JSON; the authoritative table every server flavor
 builds its routes from is :mod:`repro.serve.registry`):
@@ -36,49 +39,63 @@ whose extracted MinHash sketches are comparable across nodes); other
 flavors answer 409.
 
 Unknown nodes are 404s, malformed parameters 400s, unexpected faults
-500s -- always with an ``{"error": ...}`` body.  Handlers speak
-HTTP/1.1 with explicit ``Content-Length``, so clients can keep
-connections alive and batch thousands of queries per second over one
-socket (``benchmarks/bench_serve.py`` measures exactly that).
+500s -- always with an ``{"error": ...}`` body.  Every response carries
+an explicit ``Content-Length``, so clients keep connections alive and
+may pipeline: N requests written in one segment are answered by N
+responses in request order (``benchmarks/bench_serve.py`` measures
+exactly that).
 
-Routing, caching, locking, and the endpoint handlers are
-transport-agnostic: :meth:`AdsServer.handle_request` maps ``(method,
-target, raw body)`` to ``(status, payload)`` without touching a
-socket, which is how the asyncio transport
-(:class:`repro.serve.aio.AsyncAdsServer`) serves the byte-identical
-API over a pipelined parser.  Responses are negotiated per request:
-clients that send ``Accept: application/x-repro-wire`` get the compact
-binary codec (:mod:`repro.serve.wire`), everyone else the unchanged
-JSON.  When every worker is busy and the connection backlog is full,
-new connections are shed with an explicit ``503`` + ``Retry-After``
-(counted under ``transport.load_shed`` in ``/stats``) rather than a
-bare reset -- a reset reads as a transport fault and sends
-well-behaved clients straight back into the overload.
+Routing, caching, locking, and the endpoint handlers never touch a
+socket: :meth:`ServerBase.handle_request` maps ``(method, target, raw
+body)`` to ``(status, payload)``, and the connection loop renders
+whatever it returns.  Where that call runs is the one thing a server
+class chooses (:attr:`ServerBase._DISPATCH_THREADS`):
+
+* :class:`AdsServer` runs it **inline on the event loop**.  A query is
+  microseconds of bisect arithmetic, so a thread hand-off would cost
+  more than the query; a whole-graph sweep does briefly stall other
+  connections, which is what the LRU cache amortises.  An update or a
+  compaction already excludes every reader through the write lock, so
+  running it inline changes no ordering.
+* :class:`repro.serve.cluster.RouterServer` blocks on worker RPCs, so
+  the same loop awaits it **on a bounded thread executor**: connections
+  overlap, responses still leave in request order per connection.
+
+At most ``max_in_flight`` requests may be dispatched and unanswered at
+once; beyond that the server answers ``503`` with ``Retry-After`` and
+closes that connection (``transport.load_shed`` in ``/stats``,
+``saturation`` in ``/healthz``) rather than resetting it -- a reset
+reads as a transport fault and sends well-behaved clients straight
+back into the overload.  Only executor dispatch can reach the bound:
+an inline request is answered before the next one is parsed.
+
+Responses are negotiated per request: clients that send ``Accept:
+application/x-repro-wire`` get the compact binary codec
+(:mod:`repro.serve.wire`), everyone else the unchanged JSON.
 
 Writes are optional: ``/update`` needs the server started with the
 index's *graph* (``repro serve --graph``) and an eagerly loaded
 (non-mmap) index, and answers 409 otherwise.  A
-:class:`~repro.serve.locks.ReadWriteLock` keeps queries fully
-concurrent while an update holds the exclusive side, and every applied
-batch invalidates the whole-graph result cache (sketches changed; the
-cached sweeps are stale by definition).
+:class:`~repro.serve.locks.ReadWriteLock` keeps in-process and
+executor-dispatched queries concurrent while an update holds the
+exclusive side, and every applied batch invalidates the whole-graph
+result cache (sketches changed; the cached sweeps are stale by
+definition).
 """
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import json
 import math
-import os
-import queue
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
-
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro._util import require
 from repro.ads.index import MANIFEST_NAME, AdsIndex
@@ -111,115 +128,50 @@ from repro.serve.schemas import (
 )
 
 _MAX_BODY_BYTES = 8 << 20  # refuse absurd batch payloads outright
+_MAX_HEADER_COUNT = 64
+#: A request head (request line + headers) must fit in this many bytes.
+_MAX_HEAD_BYTES = 65536
+#: Read size for the connection loop.  Large enough that a deep
+#: pipeline of single-node queries arrives in one read.
+_READ_CHUNK = 262144
 
-_SHED_BODY = b'{"error": "server overloaded; retry later"}'
-# Pre-rendered: the shed path runs on the accept thread under overload,
-# where formatting a response per connection is exactly the wrong idea.
-_SHED_RESPONSE = (
-    b"HTTP/1.1 503 Service Unavailable\r\n"
-    b"Content-Type: application/json\r\n"
-    b"Content-Length: " + str(len(_SHED_BODY)).encode("ascii") + b"\r\n"
-    b"Retry-After: 1\r\n"
-    b"Connection: close\r\n"
-    b"\r\n" + _SHED_BODY
-)
+#: Requests dispatched and not yet answered, over all connections,
+#: before new ones are shed with ``503``.
+MAX_IN_FLIGHT = 256
+#: Executor size for a server whose ``handle_request`` blocks.
+DISPATCH_THREADS = 8
 
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    409: "Conflict",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+}
 
-class _PooledHTTPServer(HTTPServer):
-    """An ``HTTPServer`` that handles connections on a bounded pool of
-    daemon worker threads.
-
-    ``ThreadingHTTPServer`` spawns an unbounded thread per connection; a
-    serving daemon wants backpressure instead, so accepted connections
-    queue once all ``threads`` workers are busy.  Workers are daemon
-    threads -- a client holding a keep-alive connection open can never
-    block process exit -- and each connection read carries the handler's
-    idle timeout, after which the connection is dropped and the worker
-    moves on.
-    """
-
-    allow_reuse_address = True
-
-    def __init__(self, address, handler_class, app: "AdsServer",
-                 threads: int):
-        self.app = app
-        # Bounded: once every worker is busy and the backlog is full,
-        # new connections are shed immediately instead of accumulating
-        # open file descriptors without limit.
-        self._work: "queue.Queue" = queue.Queue(maxsize=threads * 8 + 16)
-        self._workers = [
-            threading.Thread(
-                target=self._worker, name=f"repro-serve-worker-{i}",
-                daemon=True,
-            )
-            for i in range(threads)
-        ]
-        super().__init__(address, handler_class)
-        for worker in self._workers:
-            worker.start()
-
-    def process_request(self, request, client_address):
-        try:
-            self._work.put_nowait((request, client_address))
-        except queue.Full:
-            # Shed load with an explicit 503 + Retry-After instead of a
-            # bare connection reset: a reset is indistinguishable from
-            # a transport fault, so clients would retry straight back
-            # into the overloaded server.
-            self.app._count_shed()
-            try:
-                request.sendall(_SHED_RESPONSE)
-            except OSError:
-                pass  # client already gone; shedding anyway
-            self.shutdown_request(request)
-
-    def _worker(self):
-        while True:
-            item = self._work.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        # Client disconnects mid-response are routine, not stack traces.
-        pass
-
-    def server_close(self):
-        super().server_close()
-        for _ in self._workers:
-            self._work.put(None)
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+#: ``_parse_request``'s answer for a complete head that announced
+#: ``Expect: 100-continue`` and whose body has not arrived yet.
+_AWAITING_BODY = object()
 
 
-class _AdsRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive; Content-Length always sent
-    server_version = "repro-serve/1.0"
-    timeout = 30.0  # idle keep-alive connections release their worker
-    # Responses go out as two small writes (headers, then body); with
-    # Nagle on, the second write stalls ~40ms behind the client's
-    # delayed ACK, capping a keep-alive connection at ~25 queries/sec.
-    disable_nagle_algorithm = True
+class _ProtocolError(Exception):
+    """A request the parser must refuse; the connection closes after
+    the error response (unread body bytes would poison the stream)."""
 
-    def do_GET(self):  # noqa: N802 (http.server naming contract)
-        self.server.app.dispatch(self, "GET")
-
-    def do_POST(self):  # noqa: N802
-        self.server.app.dispatch(self, "POST")
-
-    def log_message(self, format, *args):
-        """Silence per-request stderr chatter; /stats has the counters."""
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+        self.message = message
 
 
 class ServerBase:
     """Transport, dispatch, caching, and counter chassis for servers.
 
-    Everything about *serving HTTP* -- the pooled threaded transport,
-    the transport-agnostic :meth:`handle_request` funnel, the
+    Everything about *serving HTTP* -- the pipelined event-loop
+    transport, the socket-free :meth:`handle_request` funnel, the
     read/write lock discipline around ``/update`` and ``/compact``,
     the LRU result cache, and the request/error/shed counters -- lives
     here, independent of *what* is being served.  Two daemons build on
@@ -232,6 +184,10 @@ class ServerBase:
     ``_ROUTE_SCOPES``, so every flavor serves (and 404s) the same API
     by construction; subclasses just implement the handler methods the
     registry names, plus :meth:`_node_summary`.
+
+    The listening socket binds at construction, so :attr:`port` and
+    :attr:`url` are readable -- and :meth:`close` works -- on a server
+    that never started.
     """
 
     # Paths that take the exclusive side of the read/write lock --
@@ -243,35 +199,63 @@ class ServerBase:
     # cluster router narrows this to {"all"}.
     _ROUTE_SCOPES = frozenset({"all", "worker"})
 
+    #: ``None``: :meth:`handle_request` runs inline on the event loop
+    #: (it must not block).  A count: it is awaited on an executor of
+    #: that many threads, one request at a time per connection.
+    _DISPATCH_THREADS: Optional[int] = None
+
+    #: Idle keep-alive connections are dropped after this many seconds
+    #: (doubles as the slow-request ceiling).
+    idle_timeout = 30.0
+
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         cache_size: int = 256,
-        threads: int = 8,
         wire_mode: str = "auto",
+        max_in_flight: int = MAX_IN_FLIGHT,
     ):
-        require(threads >= 1, f"threads must be >= 1, got {threads}")
         require(
             wire_mode in ("auto", "json"),
             f"wire_mode must be 'auto' or 'json', got {wire_mode!r}",
         )
+        require(
+            max_in_flight >= 1,
+            f"max_in_flight must be >= 1, got {max_in_flight}",
+        )
         self.cache = LruCache(cache_size)
-        self.threads = int(threads)
         self.wire_mode = wire_mode
+        self.max_in_flight = int(max_in_flight)
         # Monotonic, not wall-clock: /stats uptime must survive a
         # wall-clock step (NTP correction, DST) without going negative.
         self.started_at = time.monotonic()
         self._requests = 0
         self._internal_errors = 0
         self._updates_applied = 0
-        self._sheds = 0
         self._counter_lock = threading.Lock()
         self._rw_lock = ReadWriteLock()
+        # Transport counters: written on the event-loop thread only.
+        self._in_flight = 0
+        self._sheds = 0
+        self._connections = 0
+        self._connections_total = 0
+        self._reads = 0
         self._thread: Optional[threading.Thread] = None
         self._serving = threading.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._handlers: Set["asyncio.Task[None]"] = set()
         self._routes = self._build_routes()
-        self._open_transport(host, port)
+        self._executor = (
+            ThreadPoolExecutor(
+                max_workers=self._DISPATCH_THREADS,
+                thread_name_prefix="repro-serve-dispatch",
+            )
+            if self._DISPATCH_THREADS else None
+        )
+        self._socket = socket.create_server((host, port), backlog=512)
+        self._socket.setblocking(False)
 
     def _build_routes(self):
         """Bind the endpoint registry for this class's scopes.
@@ -284,77 +268,323 @@ class ServerBase:
         self._prefix_routes = prefix
         return exact
 
-    def _open_transport(self, host: str, port: int) -> None:
-        """Bind the transport; the asyncio mixin overrides this."""
-        self._httpd = _PooledHTTPServer(
-            (host, port), _AdsRequestHandler, self, self.threads
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._socket.getsockname()[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._socket.getsockname()[1]
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
-        """Block and serve until :meth:`shutdown` (or KeyboardInterrupt)."""
+        """Run the event loop until :meth:`shutdown` (or Ctrl-C)."""
+        asyncio.run(self._serve())
+
+    async def _serve(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        server = await asyncio.start_server(
+            self._handle_connection, sock=self._socket
+        )
         self._serving.set()
         try:
-            self._httpd.serve_forever(poll_interval=0.1)
+            await self._stop.wait()
         finally:
             self._serving.clear()
+            self._loop = None
+            server.close()
+            # A client may hold a keep-alive connection open for as
+            # long as it likes, and wait_closed() (Python >= 3.12.1)
+            # waits for every connection: end them ourselves.
+            for handler in list(self._handlers):
+                handler.cancel()
+            await server.wait_closed()
 
     def start(self) -> "ServerBase":
         """Serve on a daemon background thread (tests, examples, embeds)."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self.serve_forever, name="repro-serve-acceptor",
+                target=self.serve_forever, name="repro-serve-loop",
                 daemon=True,
             )
             self._thread.start()
-            # Wait for the accept loop to go live so an immediate
-            # shutdown() cannot race serve_forever's startup (it would
-            # skip the shutdown handshake and strand the loop).
+            # Wait for the loop to go live so an immediate shutdown()
+            # finds a loop to stop instead of racing its startup.
             self._serving.wait(timeout=5.0)
         return self
 
     def shutdown(self) -> None:
-        """Stop accepting, join the acceptor thread, release the socket.
+        """Stop the loop, join the background thread, close the socket.
 
-        Safe to call whether or not the server ever started: the
-        ``serve_forever`` handshake only runs when an accept loop is
-        actually live (``HTTPServer.shutdown`` would otherwise wait
-        forever on an event that only ``serve_forever`` sets).
+        Safe to call whether or not the server ever started.
         """
-        if self._serving.is_set():
-            self._httpd.shutdown()
+        loop = self._loop
+        if self._serving.is_set() and loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:
+                pass  # loop already torn down
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.close()
 
     def close(self) -> None:
-        """Release the listening socket and the worker pool.
+        """Release the listening socket and the dispatch executor.
 
         The public teardown for a server that was never (or is no
         longer) serving; :meth:`shutdown` calls it automatically.
+        Idempotent.
         """
-        self._httpd.server_close()
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
+        self._socket.close()
 
     def __enter__(self) -> "ServerBase":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+    # ------------------------------------------------------------------
+    # Connection handling
+    # ------------------------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            try:
+                # Responses go out as one buffer, but disable Nagle
+                # anyway so pipelined trickles never stall behind
+                # delayed ACKs.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - platform-specific
+                pass
+        self._connections += 1
+        self._connections_total += 1
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        loop = asyncio.get_running_loop()
+        buf = bytearray()
+        out: List[bytes] = []
+        # True once the interim 100 went out for the request now at the
+        # front of buf; it is re-parsed on every read until its body is
+        # whole and must be told to continue only once.
+        continued = False
+        try:
+            while True:
+                # Drain every complete request already buffered before
+                # touching the socket again: this is what makes a
+                # pipelined segment of N requests cost one read, one
+                # write, and zero intermediate round trips.
+                closing = served = False
+                while True:
+                    try:
+                        parsed = self._parse_request(buf)
+                    except _ProtocolError as error:
+                        self._count_request()
+                        out.append(self._render(
+                            error.status, {"error": error.message},
+                            None, close=True,
+                        ))
+                        closing = True
+                        break
+                    if parsed is None:
+                        break  # incomplete request: need more bytes
+                    if parsed is _AWAITING_BODY:
+                        if not continued:
+                            out.append(_CONTINUE)
+                            continued = True
+                        break
+                    continued = False
+                    served = True
+                    method, target, headers, body, keep_alive = parsed
+                    accept = headers.get("accept")
+                    content_type = headers.get("content-type")
+                    if self._in_flight >= self.max_in_flight:
+                        self._sheds += 1
+                        out.append(self._render(
+                            503,
+                            {"error": "server overloaded; retry later"},
+                            accept, close=True,
+                        ))
+                        closing = True
+                        break
+                    self._in_flight += 1
+                    try:
+                        if method not in ("GET", "POST"):
+                            self._count_request()
+                            status: int = 501
+                            payload: Dict[str, Any] = {
+                                "error": f"method {method} is not supported"
+                            }
+                        elif self._executor is None:
+                            status, payload = self.handle_request(
+                                method, target, body, content_type
+                            )
+                        else:
+                            status, payload = await loop.run_in_executor(
+                                self._executor, self.handle_request,
+                                method, target, body, content_type,
+                            )
+                    finally:
+                        self._in_flight -= 1
+                    out.append(self._render(
+                        status, payload, accept, close=not keep_alive
+                    ))
+                    if not keep_alive:
+                        closing = True
+                        break
+                if served:
+                    self._reads += 1
+                if out:
+                    writer.write(b"".join(out))
+                    out.clear()
+                    await writer.drain()
+                if closing:
+                    return
+                chunk = await asyncio.wait_for(
+                    reader.read(_READ_CHUNK), timeout=self.idle_timeout
+                )
+                if not chunk:
+                    # EOF: clean between requests, or a truncated
+                    # request mid-flight -- either way, drop quietly.
+                    return
+                buf += chunk
+        except (asyncio.TimeoutError, OSError):
+            return  # idle too long, or the client went away: drop quietly
+        except asyncio.CancelledError:
+            # Shutdown cancels live connection handlers (_serve);
+            # finishing normally (rather than ending cancelled) keeps
+            # the stream protocol's done-callback from logging it.
+            return
+        finally:
+            self._connections -= 1
+            self._handlers.discard(handler)
+            try:
+                writer.close()
+            except Exception:  # pragma: no cover - defensive
+                pass
+
+    @staticmethod
+    def _parse_request(buf: bytearray):
+        """Parse (and consume) one request from the front of ``buf``.
+
+        Returns ``None`` when the buffer holds only a prefix of a
+        request (the caller reads more bytes) -- or ``_AWAITING_BODY``
+        when that prefix is a complete head that asked for ``100
+        Continue`` -- raises :class:`_ProtocolError` for requests that
+        must be refused, and otherwise deletes the parsed bytes from
+        ``buf`` and returns ``(method, target, headers, body,
+        keep_alive)``.
+        """
+        head_end = buf.find(b"\r\n\r\n")
+        sep_len = 4
+        # Bare-LF framing is tolerated, per request: whichever
+        # terminator comes first ends *this* head, so a bare-LF request
+        # pipelined ahead of a CRLF one keeps its own headers.
+        bare = (
+            buf.find(b"\n\n", 0, head_end) if head_end != -1
+            else buf.find(b"\n\n")
+        )
+        if bare != -1:
+            head_end, sep_len = bare, 2
+        if head_end == -1:
+            if buf and b"\n" not in buf and len(buf) > _MAX_HEAD_BYTES:
+                raise _ProtocolError(400, "request line too long")
+            if len(buf) > 2 * _MAX_HEAD_BYTES:
+                raise _ProtocolError(400, "request head too large")
+            return None
+        lines = bytes(buf[:head_end]).split(b"\n")
+        if len(lines[0]) > _MAX_HEAD_BYTES:
+            raise _ProtocolError(400, "request line too long")
+        line = lines[0].rstrip(b"\r").decode("latin-1")
+        parts = line.split()
+        if len(parts) != 3:
+            raise _ProtocolError(400, "malformed request line")
+        method, target, version = parts
+        if not version.startswith("HTTP/1."):
+            raise _ProtocolError(400, f"unsupported protocol {version}")
+        if len(lines) - 1 > _MAX_HEADER_COUNT:
+            raise _ProtocolError(400, "too many headers")
+        headers: Dict[str, str] = {}
+        for raw_header in lines[1:]:
+            stripped = raw_header.rstrip(b"\r")
+            name, sep, value = stripped.partition(b":")
+            if not sep:
+                raise _ProtocolError(400, "malformed header line")
+            headers[name.strip().lower().decode("latin-1")] = (
+                value.strip().decode("latin-1")
+            )
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        body: Optional[bytes] = None
+        if "content-length" in headers:
+            try:
+                length = int(headers["content-length"])
+            except ValueError:
+                raise _ProtocolError(400, "invalid Content-Length")
+            if length < 0:
+                raise _ProtocolError(400, "invalid Content-Length")
+            if length > _MAX_BODY_BYTES:
+                raise _ProtocolError(400, "request body too large")
+            body_start = head_end + sep_len
+            if len(buf) - body_start < length:
+                # Body still in flight.  A client that sent Expect is
+                # holding it back until told to go on (curl above its
+                # body-size threshold, older .NET defaults).
+                if (
+                    version != "HTTP/1.0"
+                    and headers.get("expect", "").lower() == "100-continue"
+                ):
+                    return _AWAITING_BODY
+                return None
+            # Consumed for ANY method (a GET body left unread would be
+            # parsed as the next pipelined request); only POST uses it.
+            raw_body = bytes(buf[body_start:body_start + length])
+            del buf[:body_start + length]
+            if method == "POST":
+                body = raw_body
+        elif method == "POST":
+            # No Content-Length: a chunked (or absent) body we will
+            # not read, so the connection cannot be kept alive.
+            raise _ProtocolError(400, "POST requires Content-Length")
+        else:
+            del buf[:head_end + sep_len]
+        return method, target, headers, body, keep_alive
+
+    def _render(
+        self,
+        status: int,
+        payload: Dict[str, Any],
+        accept: Optional[str],
+        close: bool,
+    ) -> bytes:
+        data, content_type = wire.encode_response(
+            payload, accept, self.wire_mode
+        )
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+        if status == 503:
+            head += "Retry-After: 1\r\n"
+        if close:
+            head += "Connection: close\r\n"
+        head += "\r\n"
+        return head.encode("latin-1") + data
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -367,29 +597,6 @@ class ServerBase:
         with self._counter_lock:
             self._internal_errors += 1
 
-    def _count_shed(self) -> None:
-        with self._counter_lock:
-            self._sheds += 1
-
-    def dispatch(self, handler: _AdsRequestHandler, method: str) -> None:
-        """Route one threaded-transport request and write its response."""
-        accept = handler.headers.get("Accept")
-        try:
-            raw = self._read_body(handler) if method == "POST" else None
-        except WireError as error:
-            self._count_request()
-            self._write_response(
-                handler, error.status, {"error": error.message}, accept
-            )
-            return
-        status, payload = self.handle_request(
-            method,
-            handler.path,
-            raw,
-            content_type=handler.headers.get("Content-Type"),
-        )
-        self._write_response(handler, status, payload, accept)
-
     def handle_request(
         self,
         method: str,
@@ -397,16 +604,16 @@ class ServerBase:
         body: Optional[bytes],
         content_type: Optional[str] = None,
     ) -> Tuple[int, Dict[str, Any]]:
-        """Transport-agnostic request handling: ``(status, payload)``.
+        """Socket-free request handling: ``(status, payload)``.
 
         *target* is the request target as it appeared on the request
         line (path plus optional query string); *body* is the raw POST
         body, decoded as JSON or as the binary wire codec depending on
         *content_type*.  Never raises -- refusals and faults come back
         as their HTTP status with an ``{"error": ...}`` payload, and
-        every call counts toward ``/stats``.  Both the threaded and
-        the asyncio transports funnel through here, which is what
-        keeps their payloads byte-identical.
+        every call counts toward ``/stats``.  The connection loop and
+        in-process callers both come through here, so a served body is
+        ``encode_response`` of exactly what this returns.  Thread-safe.
         """
         self._count_request()
         try:
@@ -470,54 +677,6 @@ class ServerBase:
             raise bad_request("request body must be an object")
         return body
 
-    @staticmethod
-    def _read_body(handler: _AdsRequestHandler) -> bytes:
-        # Refusals raised BEFORE the body is fully consumed must also
-        # drop the connection: otherwise the unread body bytes would be
-        # parsed as the next request on this keep-alive socket.
-        try:
-            length = int(handler.headers.get("Content-Length", "0"))
-        except ValueError:
-            handler.close_connection = True
-            raise bad_request("invalid Content-Length")
-        if length < 0:
-            handler.close_connection = True
-            raise bad_request("invalid Content-Length")
-        if length > _MAX_BODY_BYTES:
-            handler.close_connection = True
-            raise bad_request("request body too large")
-        raw = handler.rfile.read(length) if length else b""
-        if not raw:
-            # Covers chunked posts too (no Content-Length, body unread).
-            handler.close_connection = True
-            raise bad_request("POST requires a request body")
-        return raw
-
-    def _write_response(
-        self,
-        handler: _AdsRequestHandler,
-        status: int,
-        payload: Dict[str, Any],
-        accept: Optional[str],
-    ) -> None:
-        data, content_type = wire.encode_response(
-            payload, accept, self.wire_mode
-        )
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(data)))
-            if status == 503:
-                handler.send_header("Retry-After", "1")
-            if handler.close_connection:
-                # Tell the client, don't just drop the socket (set when
-                # a refused request left body bytes unread).
-                handler.send_header("Connection", "close")
-            handler.end_headers()
-            handler.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to salvage
-
     def _route(
         self,
         method: str,
@@ -543,22 +702,25 @@ class ServerBase:
         return 200, target(params, None)
 
     def _saturation(self) -> float:
-        """Queued-work fill fraction (transport-specific)."""
-        work = self._httpd._work
-        if work.maxsize <= 0:
-            return 0.0
-        return min(1.0, work.qsize() / work.maxsize)
+        """In-flight fill fraction, 0.0 idle .. 1.0 about to shed.
+
+        The probing request is itself in flight; this reports the
+        pressure *beyond* it, so an idle server answers 0.0.
+        """
+        return min(
+            1.0, max(0, self._in_flight - 1) / self.max_in_flight
+        )
 
     def _transport_stats(self) -> Dict[str, Any]:
-        with self._counter_lock:
-            sheds = self._sheds
-        work = self._httpd._work
+        # requests / reads is the pipeline depth actually served.
         return {
-            "mode": "threaded",
-            "threads": self.threads,
-            "load_shed": sheds,
-            "queue_depth": work.qsize(),
-            "queue_capacity": work.maxsize,
+            "mode": "async",
+            "connections": self._connections,
+            "connections_total": self._connections_total,
+            "reads": self._reads,
+            "in_flight": self._in_flight,
+            "max_in_flight": self.max_in_flight,
+            "load_shed": self._sheds,
         }
 
     def _cached(self, key: Tuple, compute) -> Tuple[Any, bool]:
@@ -590,20 +752,13 @@ class AdsServer(ServerBase):
     """The serving daemon: routing, caching, and counters over an index.
 
     Args:
-        index: The sketch index to serve.
+        index: The sketch index to serve.  Its kernel fan-out
+            (``index.kernel_workers``, reported in ``/stats``) is
+            served as wired; ``repro serve`` wires 1 unless asked.
         host / port: Bind address; ``port=0`` picks a free port, read it
             back from :attr:`port`.
         cache_size: LRU capacity for whole-graph query results
             (``0`` disables caching).
-        threads: Worker-thread pool size.  Each request thread may
-            itself fan a batch query out across the index's kernel
-            workers, so the server caps the product at
-            ``KERNEL_BUDGET_FACTOR x cpu_count`` concurrent kernel
-            tasks -- an index wired for more workers than
-            ``(KERNEL_BUDGET_FACTOR * cpu_count) // threads`` is
-            re-wired down at construction (results are bit-identical;
-            only the fan-out changes).  The effective count is reported
-            as ``index.kernel_workers`` in ``/stats``.
         graph: The index's :class:`~repro.graph.csr.CSRGraph` (same
             labels, same id order).  Enables ``POST /update``; without
             it the index is served read-only and updates answer 409.
@@ -645,17 +800,11 @@ class AdsServer(ServerBase):
         >>> from repro.graph import path_graph
         >>> from repro.ads import AdsIndex
         >>> server = AdsServer(AdsIndex.build(path_graph(4).to_csr(), k=4))
-        >>> with server:  # starts a background thread, shuts down on exit
+        >>> with server:  # event loop on a background thread
         ...     from repro.serve.client import QueryClient
         ...     QueryClient(server.url).cardinality(node=0, d=1.0)["value"]
         2.0
     """
-
-    # Oversubscription budget: at most this many concurrent kernel
-    # tasks per CPU across all request threads (2 keeps cores busy
-    # while one task waits on page faults without thrashing the
-    # scheduler; see ARCHITECTURE.md "Parallel kernel execution").
-    KERNEL_BUDGET_FACTOR = 2
 
     def __init__(
         self,
@@ -663,7 +812,6 @@ class AdsServer(ServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         cache_size: int = 256,
-        threads: int = 8,
         graph=None,
         index_path: Optional[Union[str, Path]] = None,
         graph_path: Optional[Union[str, Path]] = None,
@@ -713,11 +861,8 @@ class AdsServer(ServerBase):
         self.node_range = self._validate_node_range(node_range)
         super().__init__(
             host=host, port=port, cache_size=cache_size,
-            threads=threads, wire_mode=wire_mode,
+            wire_mode=wire_mode,
         )
-        # After super().__init__: the cap needs self.threads, and no
-        # request can arrive before start()/serve_forever anyway.
-        self.kernel_workers = self._cap_kernel_workers()
 
     def _replay_wal(self) -> int:
         """Re-apply WAL batches logged after the last compact.
@@ -784,26 +929,6 @@ class AdsServer(ServerBase):
         start, stop = self.node_range
         return start, (self.index.num_nodes if stop is None else stop)
 
-    def _cap_kernel_workers(self) -> int:
-        """Cap request-threads x kernel-workers oversubscription.
-
-        The product of concurrently running request threads and each
-        one's kernel fan-out must not exceed
-        ``KERNEL_BUDGET_FACTOR * cpu_count``; an index wired hotter
-        than the per-thread budget is re-wired down (same floats,
-        smaller fan-out).  Returns the effective kernel worker count.
-        """
-        workers = getattr(self.index, "kernel_workers", 1)
-        cap = max(
-            1,
-            (self.KERNEL_BUDGET_FACTOR * (os.cpu_count() or 1))
-            // self.threads,
-        )
-        if workers > cap:
-            self.index.set_kernel_workers(cap)
-            workers = self.index.kernel_workers
-        return workers
-
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
@@ -848,7 +973,6 @@ class AdsServer(ServerBase):
             "requests": requests,
             "internal_errors": internal,
             "uptime_seconds": time.monotonic() - self.started_at,
-            "threads": self.threads,
             "transport": self._transport_stats(),
             "cache": self.cache.stats(),
             "updates": {
@@ -1003,6 +1127,7 @@ class AdsServer(ServerBase):
         try:
             index = AdsIndex.from_bytes(
                 blob, backend=self.index.backend,
+                kernel_workers=self.index.kernel_workers,
             )
             graph = CSRGraph.from_edges(
                 raw_edges, directed=directed, nodes=index.nodes()
@@ -1018,7 +1143,6 @@ class AdsServer(ServerBase):
         self.index = index
         self.graph = graph
         self._label_type = index.label_type()
-        self.kernel_workers = self._cap_kernel_workers()
         self.cache.clear()
         flushed = self._flush_installed_state()
         if self.wal is not None:

@@ -43,12 +43,30 @@ import threading
 from repro.ads import AdsIndex
 from repro.ads.index import shard_ranges
 from repro.graph.csr import CSRGraph
-from repro.serve import (
-    AdsServer,
-    AsyncRouterServer,
-    QueryClient,
-    RouterServer,
-)
+from repro.serve import AdsServer, QueryClient, RouterServer
+
+
+class ThreadDispatchedAdsServer(AdsServer):
+    """``AdsServer`` with ``handle_request`` awaited on the chassis's
+    thread executor -- the dispatch mode ``RouterServer`` runs in --
+    instead of inline on the event loop.
+
+    The ``threaded`` flavor of the parametrized ``test_serve*``
+    fixtures: requests from different connections really do run
+    concurrently here, which is what holds ``AdsServer.handle_request``
+    (lock discipline, cache, counters) to the thread-safety its
+    in-process callers rely on.
+    """
+
+    _DISPATCH_THREADS = 4
+
+
+#: The single-server flavors of the parametrized ``server`` fixtures:
+#: ``async`` is ``AdsServer`` as shipped (inline on the event loop).
+SINGLE_SERVER_FLAVORS = {
+    "async": AdsServer,
+    "threaded": ThreadDispatchedAdsServer,
+}
 
 
 def _read_http_message(sock):
@@ -285,11 +303,9 @@ def start_cluster(
     graph=None,
     tmp_path=None,
     proxy=False,
-    router_flavor="threaded",
     rpc_timeout=10.0,
     probe_interval=0.0,
     cache_size=256,
-    worker_threads=4,
     wal=False,
     **router_kwargs,
 ):
@@ -336,13 +352,10 @@ def start_cluster(
                 )
                 server = AdsServer(
                     windex, graph=wgraph, index_path=wpath,
-                    node_range=node_range, threads=worker_threads,
-                    wal_dir=wal_dir,
+                    node_range=node_range, wal_dir=wal_dir,
                 )
             else:
-                server = AdsServer(
-                    index, node_range=node_range, threads=worker_threads
-                )
+                server = AdsServer(index, node_range=node_range)
             server.start()
             flat_workers.append(server)
             if proxy:
@@ -353,10 +366,7 @@ def start_cluster(
                 flat_proxies.append(None)
                 urls.append(server.url)
         groups.append((node_range, urls))
-    router_cls = (
-        AsyncRouterServer if router_flavor == "async" else RouterServer
-    )
-    router = router_cls(
+    router = RouterServer(
         index.nodes(),
         groups,
         cache_size=cache_size,

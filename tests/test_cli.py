@@ -32,7 +32,7 @@ class TestParser:
             ["query", "g.adsidx"],
             ["serve", "--index", "g.adsidx"],
             ["serve", "--index", "g.adsidx", "--no-mmap", "--port", "0",
-             "--cache-size", "64", "--threads", "2"],
+             "--cache-size", "64", "--kernel-workers", "2"],
             ["serve", "--index", "g.adsidx", "--no-mmap",
              "--graph", "g.txt"],
             ["serve", "--index", "g.adsidx", "--cluster", "0:500"],
@@ -342,13 +342,25 @@ class TestErrorPaths:
         target = tmp_path / "x.adsidx"
         target.write_bytes(b"")
         assert main(
-            ["serve", "--index", str(target), "--threads", "0"]
-        ) == 2
-        assert "--threads" in capsys.readouterr().err
-        assert main(
             ["serve", "--index", str(target), "--cache-size", "-1"]
         ) == 2
         assert "--cache-size" in capsys.readouterr().err
+
+    def test_removed_transport_flags_are_refused(self, capsys):
+        # One transport: the flags that chose or tuned the other one
+        # are gone, loudly (argparse exit 2), not silently ignored.
+        route = ["route", "--index", "x", "--group", "http://127.0.0.1:1"]
+        for argv in (
+            ["serve", "--index", "x", "--threads", "2"],
+            ["serve", "--index", "x", "--async-loop"],
+            ["serve", "--index", "x", "--max-in-flight", "8"],
+            ["serve", "--index", "x", "--coalesce-window", "0.001"],
+            route + ["--threads", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_rejects_malformed_cluster_range(self, tmp_path,
                                                    capsys):
@@ -372,8 +384,6 @@ class TestErrorPaths:
         target.write_bytes(b"")
         base = ["route", "--index", str(target),
                 "--group", "http://127.0.0.1:1"]
-        assert main(base + ["--threads", "0"]) == 2
-        assert "--threads" in capsys.readouterr().err
         assert main(base + ["--rpc-timeout", "0"]) == 2
         assert "--rpc-timeout" in capsys.readouterr().err
         assert main([

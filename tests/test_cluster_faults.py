@@ -433,7 +433,7 @@ class TestResync:
 
 class TestTopologyValidation:
     def _worker(self, index, node_range=None):
-        return AdsServer(index, node_range=node_range, threads=2).start()
+        return AdsServer(index, node_range=node_range).start()
 
     def test_misranged_worker_is_refused_at_construction(self, index):
         # Workers split at 45, but the router is told the split is at

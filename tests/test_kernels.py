@@ -15,7 +15,6 @@ suite passes identically on a pure-Python deployment.
 """
 
 import math
-import os
 import random
 import sys
 
@@ -414,7 +413,7 @@ class TestServeAndCliSurface:
         index = AdsIndex.build(
             _graph(False), 4, family=HashFamily(1), backend="numpy"
         )
-        with AdsServer(index, cache_size=4, threads=2) as server:
+        with AdsServer(index, cache_size=4) as server:
             stats = QueryClient(server.url).stats()
         assert stats["index"]["backend"] == "numpy"
 
@@ -690,25 +689,44 @@ class TestServeKernelWorkers:
         from repro.serve import AdsServer
         from repro.serve.client import QueryClient
 
-        index = self._index(2)
-        # One serving thread leaves the budget (2 x cpu_count) intact,
-        # so the wired count survives the oversubscription cap.
-        with AdsServer(index, cache_size=4, threads=1) as server:
+        # A library caller's wiring is honoured as given: the server
+        # never re-wires the index it is handed, however many cores
+        # the host has.
+        index = self._index(4)
+        with AdsServer(index, cache_size=4) as server:
             stats = QueryClient(server.url).stats()
-        assert stats["index"]["kernel_workers"] == 2
-        assert index.kernel_workers == 2
+        assert stats["index"]["kernel_workers"] == 4
+        assert index.kernel_workers == 4
+        assert index._kernel is not index._kernel_base
 
-    def test_oversubscribed_index_rewired_down(self):
+    def test_repro_serve_wires_one_worker_unless_asked(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `repro serve` answers inline on one event loop: flag, then
+        # REPRO_KERNEL_WORKERS, then 1 -- never the hardware-sized
+        # auto the offline commands resolve to.
+        from repro.cli import main
         from repro.serve import AdsServer
 
-        cpus = os.cpu_count() or 1
-        # threads = 4 x cpus makes the per-request budget
-        # (2 x cpus) // threads = 0 -> capped at the floor of 1.
-        index = self._index(4)
-        with AdsServer(index, cache_size=0, threads=4 * cpus) as server:
-            assert server.kernel_workers == 1
-        assert index.kernel_workers == 1
-        assert index._kernel is index._kernel_base
+        path = tmp_path / "g.adsidx"
+        self._index(1).save(path)
+        monkeypatch.setattr(AdsServer, "serve_forever", lambda self: None)
+        base = ["serve", "--index", str(path), "--port", "0"]
+
+        def announced(extra=()):
+            assert main(base + list(extra)) == 0
+            return capsys.readouterr().err
+
+        monkeypatch.delenv("REPRO_KERNEL_WORKERS", raising=False)
+        assert ", 1 kernel worker) on http://" in announced()
+        assert ", 2 kernel workers) on http://" in announced(
+            ["--kernel-workers", "2"]
+        )
+        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "3")
+        assert ", 3 kernel workers) on http://" in announced()
+        assert ", 2 kernel workers) on http://" in announced(
+            ["--kernel-workers", "2"]
+        )
 
 
 class TestParallelCliSurface:

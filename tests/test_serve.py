@@ -1,13 +1,13 @@
 """The ``repro.serve`` layer: server endpoints, cache, client, wiring.
 
 A real server is bound to a loopback port once per module *per
-transport* (the module-scoped ``server`` fixture is parametrized over
-the threaded ``AdsServer`` and the asyncio ``AsyncAdsServer``) and
-exercised through :class:`repro.serve.client.QueryClient` -- the same
-wire path production traffic takes.  Estimates returned over HTTP must
-equal the in-process ``AdsIndex`` queries exactly (JSON round-trips
-IEEE doubles losslessly via repr-level serialisation), on either
-transport.
+deployment flavor* (the module-scoped ``server`` fixture is
+parametrized over ``AdsServer`` in both of the chassis's dispatch
+modes and the cluster router) and exercised through
+:class:`repro.serve.client.QueryClient` -- the same wire path
+production traffic takes.  Estimates returned over HTTP must equal the
+in-process ``AdsIndex`` queries exactly (JSON round-trips IEEE doubles
+losslessly via repr-level serialisation), on every flavor.
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.graph import barabasi_albert_graph
 from repro.rand.hashing import HashFamily
 from repro.serve import (
     AdsServer,
-    AsyncAdsServer,
     LruCache,
     QueryClient,
     ServeClientError,
@@ -42,21 +41,21 @@ def index():
 @pytest.fixture(scope="module", params=["threaded", "async", "cluster"])
 def server(index, request):
     # Every endpoint/error/concurrency test in this module runs against
-    # all three deployment flavors: both single-server transports share
-    # routing via handle_request, and the sharded cluster router must
-    # answer the identical API byte-for-byte (exact merges, worker
-    # passthrough) -- this fixture is what holds all of them to it.
-    if request.param == "cluster":
-        from cluster_harness import start_cluster
+    # three deployment flavors of the one transport: "async" is
+    # AdsServer as shipped (handle_request inline on the event loop),
+    # "threaded" the same server dispatched on the chassis's thread
+    # executor (the router's mode: requests really run concurrently),
+    # and the sharded cluster router must answer the identical API
+    # byte-for-byte (exact merges, worker passthrough) -- this fixture
+    # is what holds all of them to it.
+    from cluster_harness import SINGLE_SERVER_FLAVORS, start_cluster
 
+    if request.param == "cluster":
         with start_cluster(index, workers=2, cache_size=16) as cluster:
             yield cluster
         return
-    if request.param == "async":
-        factory = AsyncAdsServer(index, port=0, cache_size=16)
-    else:
-        factory = AdsServer(index, port=0, cache_size=16, threads=4)
-    with factory as running:
+    server_class = SINGLE_SERVER_FLAVORS[request.param]
+    with server_class(index, port=0, cache_size=16) as running:
         yield running
 
 
@@ -69,7 +68,7 @@ def client(server):
 class TestHappyPath:
     def test_healthz(self, client, index):
         # saturation is the load-balancer steering signal; idle servers
-        # report 0.0 on either transport.
+        # report 0.0 on every flavor.
         assert client.healthz() == {
             "status": "ok", "nodes": index.num_nodes, "saturation": 0.0
         }
@@ -164,7 +163,7 @@ class TestHappyPath:
         assert set(stats["cache"]) == {
             "hits", "misses", "evictions", "size", "capacity"
         }
-        assert stats["transport"]["mode"] in ("threaded", "async")
+        assert stats["transport"]["mode"] == "async"
         assert stats["transport"]["load_shed"] == 0
 
     def test_uptime_is_monotonic_not_wall_clock(self, client, server):
@@ -404,14 +403,14 @@ class TestKeepAliveHygiene:
 class TestLifecycle:
     def test_start_then_immediate_shutdown(self, index):
         # __exit__ microseconds after start() must not strand the
-        # accept loop or burn the join timeout.
+        # event loop or burn the join timeout.
         start = time.perf_counter()
         with AdsServer(index, port=0):
             pass
         assert time.perf_counter() - start < 4.0
     def test_shutdown_before_start_returns_promptly(self, index):
         # A bound-but-never-started server must tear down cleanly
-        # instead of waiting on the serve_forever handshake.
+        # instead of waiting on a loop that never ran.
         server = AdsServer(index, port=0)
         server.shutdown()
 
@@ -469,55 +468,6 @@ class TestServerStateFaults:
                 assert excinfo.value.status == 500
                 assert "vanished" in excinfo.value.message
                 assert client.stats()["internal_errors"] == 1
-
-
-class TestThreadedLoadShedding:
-    def test_full_worker_queue_sheds_with_503_not_reset(self, index):
-        # One worker, queue capacity 1*8+16 = 24.  An idle connection
-        # pins the worker on its read; 24 more fill the queue; the
-        # next connection must get an explicit 503 + Retry-After --
-        # never a bare reset, which clients read as a transport fault
-        # and retry straight back into the overload.
-        with AdsServer(index, port=0, threads=1) as server:
-            held = []
-            try:
-                for _ in range(25):
-                    held.append(socket.create_connection(
-                        (server.host, server.port), timeout=10
-                    ))
-                time.sleep(0.3)  # let the worker dequeue one connection
-                deadline = time.monotonic() + 10
-                head = ""
-                while time.monotonic() < deadline:
-                    shed = socket.create_connection(
-                        (server.host, server.port), timeout=10
-                    )
-                    held.append(shed)
-                    shed.settimeout(5)
-                    try:
-                        head = shed.recv(4096).decode("latin-1")
-                    except (socket.timeout, ConnectionResetError):
-                        head = ""
-                    if head:
-                        break
-                assert " 503 " in head.splitlines()[0]
-                assert "retry-after: 1" in head.lower()
-                assert "overloaded" in head
-            finally:
-                for conn in held:
-                    conn.close()
-            # The queue drains (EOF per closed connection) and the shed
-            # counter survives in /stats.
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                try:
-                    with QueryClient(server.url, timeout=5) as client:
-                        if client.stats()["transport"]["load_shed"] >= 1:
-                            return
-                except ServeClientError:
-                    pass
-                time.sleep(0.1)
-            pytest.fail("load_shed never surfaced in /stats")
 
 
 class _ScriptedServer(threading.Thread):
@@ -690,7 +640,7 @@ class _SheddingServer(threading.Thread):
 
     Each shed is a full ``503 {"error": "overloaded"}`` response with
     a ``Retry-After`` header -- exactly what the real server emits
-    when its worker queue is full -- then it recovers and serves 200s.
+    at its in-flight bound -- then it recovers and serves 200s.
     """
 
     def __init__(self, sheds, retry_after="0.01"):

@@ -1,19 +1,22 @@
-"""The asyncio transport: pipelining, parser edges, backpressure,
-coalescing, and byte-identity with the threaded server.
+"""The transport: pipelining, parser edges, interim ``100 Continue``,
+backpressure, lifecycle.
 
-The endpoint behaviour itself is covered by ``test_serve.py`` (its
-server fixture is parametrized over both transports); this module
-exercises what only the async transport does -- the hand-rolled
+The endpoint behaviour itself is covered by ``test_serve.py``; this
+module exercises the chassis every server shares -- the hand-rolled
 pipelined parser with hostile and fragmented input, bounded in-flight
-load shedding, micro-batch coalescing -- plus the acceptance contract
-that every endpoint's *payload bytes* are identical across transports
-and across the JSON/binary codecs.
+load shedding where it can occur (executor dispatch behind a stalled
+worker) -- plus the acceptance contract that every endpoint's served
+*bytes* are ``handle_request``'s payload encoded, and that the JSON
+and binary codecs carry the same payloads.
 """
 
-import concurrent.futures
 import json
 import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +26,8 @@ from repro.graph import barabasi_albert_graph, path_graph
 from repro.rand.hashing import HashFamily
 from repro.serve import (
     AdsServer,
-    AsyncAdsServer,
     QueryClient,
+    RouterServer,
     ServeClientError,
 )
 from repro.serve import wire
@@ -38,7 +41,7 @@ def index():
 
 @pytest.fixture(scope="module")
 def server(index):
-    with AsyncAdsServer(index, port=0, cache_size=16) as running:
+    with AdsServer(index, port=0, cache_size=16) as running:
         yield running
 
 
@@ -60,6 +63,16 @@ def raw_exchange(server, request: bytes, expect: int = 1,
                 break
             data += chunk
         return data
+
+
+def read_to_eof(conn) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    data = b""
+    while True:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
 
 
 def split_responses(data: bytes):
@@ -135,12 +148,7 @@ class TestPipelining:
                 conn.sendall(request[i:i + 7])
                 time.sleep(0.002)
             conn.settimeout(10)
-            data = b""
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
+            data = read_to_eof(conn)
         ((status, body),) = split_responses(data)
         assert status == 200
         assert json.loads(body)["value"] == (
@@ -162,17 +170,84 @@ class TestPipelining:
             time.sleep(0.05)  # body arrives later
             conn.sendall(payload)
             conn.settimeout(10)
-            data = b""
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
+            data = read_to_eof(conn)
         ((status, body),) = split_responses(data)
         assert status == 200
         assert json.loads(body)["results"] == [
             [5, index.node_cardinality_at(5, 1.0)]
         ]
+
+    def test_bare_lf_request_ahead_of_a_crlf_one(self, server):
+        # Each head ends at ITS first terminator: looking for CRLFCRLF
+        # across the whole buffer first would hand the second
+        # request's lines to the first as headers and refuse it.
+        request = (
+            b"GET /cardinality?node=1&d=2.0 HTTP/1.1\nHost: x\n\n"
+            b"GET /cardinality?node=2&d=2.0 HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /cardinality?node=3&d=2.0 HTTP/1.1\nHost: x\n\n"
+        )
+        responses = split_responses(raw_exchange(server, request, expect=3))
+        assert [status for status, _ in responses] == [200, 200, 200]
+        assert [json.loads(body)["node"] for _, body in responses] == [
+            1, 2, 3
+        ]
+
+
+class TestExpectContinue:
+    # curl above its body-size threshold (and older .NET defaults)
+    # hold a POST body back until the server says to go on; nobody
+    # answers that for us any more, and a silent server costs such a
+    # client its own one-second timer per batch.
+    def test_interim_response_precedes_the_body(self, server, index):
+        payload = json.dumps({"nodes": [5, 6], "d": 1.0}).encode()
+        head = (
+            b"POST /cardinality HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: " + str(len(payload)).encode()
+            + b"\r\nConnection: close\r\n\r\n"
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as conn:
+            conn.settimeout(5)
+            conn.sendall(head)
+            # Not one body byte has been sent yet.
+            assert conn.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            # The body dribbles in: the head is re-parsed on every
+            # read, and must be told to continue only once.
+            conn.sendall(payload[:4])
+            time.sleep(0.05)
+            conn.sendall(payload[4:])
+            data = read_to_eof(conn)
+        ((status, body),) = split_responses(data)
+        assert status == 200
+        assert json.loads(body)["results"] == [
+            [5, index.node_cardinality_at(5, 1.0)],
+            [6, index.node_cardinality_at(6, 1.0)],
+        ]
+
+    def test_no_interim_response_when_the_body_came_along(self, server):
+        payload = json.dumps({"nodes": [5]}).encode()
+        request = (
+            b"POST /cardinality HTTP/1.1\r\nHost: x\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: " + str(len(payload)).encode()
+            + b"\r\n\r\n" + payload
+        )
+        data = raw_exchange(server, request)
+        assert data.startswith(b"HTTP/1.1 200 ")
+
+    def test_refusal_is_the_final_answer(self, server):
+        # A body we will not read gets its 400 at once, not a go-ahead.
+        data = raw_exchange(
+            server,
+            b"POST /update HTTP/1.1\r\nExpect: 100-continue\r\n"
+            b"Content-Length: 9000000\r\n\r\n",
+        )
+        ((status, body),) = split_responses(data)
+        assert status == 400
+        assert b"request body too large" in body
 
 
 class TestParserRefusals:
@@ -253,31 +328,54 @@ class TestParserRefusals:
         assert b"connection: close" in data.lower()
 
 
+def _stalled_router(index, max_in_flight):
+    """A router whose first candidate replica swallows requests.
+
+    Inline dispatch answers each request before it parses the next,
+    so the in-flight bound is only reachable where ``handle_request``
+    blocks: the router, awaiting a worker.  Replica 0 of the single
+    shard group reads RPCs and never answers (until ``rpc_timeout``
+    fails the call over to replica 1, which answers correctly).
+    """
+    from cluster_harness import start_cluster
+
+    cluster = start_cluster(
+        index, workers=1, replicas=2, proxy=True, rpc_timeout=1.0,
+        max_in_flight=max_in_flight,
+    )
+    cluster.proxies[0].mode = "blackhole"
+    cluster.router.reset_round_robin()
+    return cluster
+
+
+def _park_one_request(cluster, conn, target=b"/cardinality?node=0&d=2.0"):
+    conn.sendall(b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+    deadline = time.monotonic() + 5
+    while cluster.router._in_flight < 1:
+        assert time.monotonic() < deadline, "request never dispatched"
+        time.sleep(0.005)
+
+
 class TestBackpressure:
     def test_in_flight_cap_sheds_with_503_and_retry_after(self, index):
-        # max_in_flight=1 with a coalescing window: the first query
-        # parks in flight for the window, so a second concurrent
-        # request must shed -- visibly, with Retry-After.
-        with AsyncAdsServer(
-            index, port=0, max_in_flight=1, coalesce_window=0.4
-        ) as server:
+        with _stalled_router(index, max_in_flight=1) as cluster:
             with socket.create_connection(
-                (server.host, server.port), timeout=10
+                (cluster.host, cluster.port), timeout=10
             ) as first:
-                first.sendall(
-                    b"GET /cardinality?node=0&d=2.0 HTTP/1.1\r\n"
-                    b"Host: x\r\n\r\n"
-                )
-                time.sleep(0.1)  # ensure it is mid-window, in flight
+                _park_one_request(cluster, first)
+                # A second concurrent request must shed -- visibly,
+                # with Retry-After, never a bare reset.
                 shed_raw = raw_exchange(
-                    server,
+                    cluster,
                     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
                 )
                 ((status, body),) = split_responses(shed_raw)
                 assert status == 503
                 assert b"retry-after: 1" in shed_raw.lower()
+                assert b"connection: close" in shed_raw.lower()
                 assert b"overloaded" in body
-                # The parked request still completes correctly.
+                # The parked request still completes correctly (it
+                # fails over once the stalled replica times out).
                 first.settimeout(10)
                 data = b""
                 while data.count(b"HTTP/1.1") < 1:
@@ -287,134 +385,124 @@ class TestBackpressure:
                 assert json.loads(body)["value"] == (
                     index.node_cardinality_at(0, 2.0)
                 )
-            with QueryClient(server.url) as client:
-                assert client.stats()["transport"]["load_shed"] == 1
+            with cluster.client() as client:
+                transport = client.stats()["transport"]
+                assert transport["load_shed"] == 1
+                assert transport["max_in_flight"] == 1
 
     def test_client_surfaces_retry_after(self, index):
-        with AsyncAdsServer(
-            index, port=0, max_in_flight=1, coalesce_window=0.4
-        ) as server:
+        with _stalled_router(index, max_in_flight=1) as cluster:
             with socket.create_connection(
-                (server.host, server.port), timeout=10
+                (cluster.host, cluster.port), timeout=10
             ) as first:
-                first.sendall(
-                    b"GET /cardinality?node=0 HTTP/1.1\r\nHost: x\r\n\r\n"
-                )
-                time.sleep(0.1)
-                with QueryClient(server.url) as client:
+                _park_one_request(cluster, first)
+                with cluster.client() as client:
                     with pytest.raises(ServeClientError) as excinfo:
                         client.healthz()
                     assert excinfo.value.status == 503
                     assert excinfo.value.retry_after == 1.0
 
     def test_saturation_reported_under_load(self, index):
-        with AsyncAdsServer(
-            index, port=0, max_in_flight=4, coalesce_window=0.4
-        ) as server:
+        with _stalled_router(index, max_in_flight=4) as cluster:
             with socket.create_connection(
-                (server.host, server.port), timeout=10
+                (cluster.host, cluster.port), timeout=10
             ) as parked:
-                parked.sendall(
-                    b"GET /cardinality?node=0 HTTP/1.1\r\nHost: x\r\n\r\n"
-                )
-                time.sleep(0.1)
-                with QueryClient(server.url) as client:
+                _park_one_request(cluster, parked)
+                with cluster.client() as client:
                     # One parked + the probe itself; saturation counts
                     # pressure beyond the probe: 1/4.
                     assert client.healthz()["saturation"] == 0.25
 
     def test_invalid_limits_rejected(self, index):
         with pytest.raises(ParameterError):
-            AsyncAdsServer(index, max_in_flight=0)
-        with pytest.raises(ParameterError):
-            AsyncAdsServer(index, coalesce_window=-0.1)
-        with pytest.raises(ParameterError):
-            AsyncAdsServer(index, coalesce_max_batch=0)
+            RouterServer(
+                index.nodes(), [((0, None), ["http://127.0.0.1:9"])],
+                max_in_flight=0, validate_topology=False,
+            )
 
 
-class TestCoalescing:
-    def test_coalesced_values_bit_identical_to_uncoalesced(self, index):
-        nodes = list(range(40))
-        with AsyncAdsServer(index, port=0) as plain:
-            def query_plain(n):
-                with QueryClient(plain.url) as client:
-                    return client.cardinality(node=n, d=2.0)
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                baseline = list(pool.map(query_plain, nodes))
-        with AsyncAdsServer(
-            index, port=0, coalesce_window=0.01
-        ) as coalescing:
-            def query_coalesced(n):
-                with QueryClient(coalescing.url) as client:
-                    return client.cardinality(node=n, d=2.0)
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                coalesced = list(pool.map(query_coalesced, nodes))
-            with QueryClient(coalescing.url) as client:
-                transport = client.stats()["transport"]
-        assert coalesced == baseline  # same payloads, field for field
-        assert transport["coalesced_queries"] >= 2
-        assert transport["coalesced_batches"] >= 1
-        assert (
-            transport["coalesced_batches"]
-            < transport["coalesced_queries"]
-        )
+class TestExecutorDispatch:
+    def test_pipelines_keep_request_order_across_racing_connections(
+        self, index
+    ):
+        # The router's dispatch mode, driven hard: more pipelining
+        # connections than cores (and than executor threads), a short
+        # switch interval.  Each connection awaits one request at a
+        # time, so its responses must come back in request order, and
+        # no request may be lost or counted twice.
+        from cluster_harness import ThreadDispatchedAdsServer
 
-    def test_coalescing_groups_by_distinct_d(self, index):
-        # Queries at different d thresholds must never share a kernel
-        # call; each d gets its own bucket and its own exact answer.
-        with AsyncAdsServer(
-            index, port=0, coalesce_window=0.01
-        ) as server:
-            def query(args):
-                node, d = args
-                with QueryClient(server.url) as client:
-                    return client.cardinality(node=node, d=d)["value"]
-            jobs = [(n, float(d)) for n in range(8) for d in (1.0, 2.0)]
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                values = list(pool.map(query, jobs))
-        assert values == [
-            index.node_cardinality_at(n, d) for n, d in jobs
-        ]
+        connections, depth = 6, 40
+        failures = []
 
-    def test_sequential_client_unaffected_by_window(self, index):
-        # A lone client pays the window as latency but must get the
-        # same answers (and errors) as without coalescing.
-        with AsyncAdsServer(
-            index, port=0, coalesce_window=0.005
-        ) as server:
-            with QueryClient(server.url) as client:
-                assert client.cardinality(node=4, d=2.0)["value"] == (
-                    index.node_cardinality_at(4, 2.0)
+        def pipeline(offset):
+            nodes = [(offset + i) % index.num_nodes for i in range(depth)]
+            request = b"".join(
+                f"GET /cardinality?node={n}&d=2.0 HTTP/1.1\r\n"
+                f"Host: x\r\n\r\n".encode() for n in nodes
+            )
+            try:
+                responses = split_responses(
+                    raw_exchange(server, request, expect=depth)
                 )
-                with pytest.raises(ServeClientError) as excinfo:
-                    client.cardinality(node=99999)
-                assert excinfo.value.status == 404
-                # Non-coalescable shapes route through handle_request.
-                sweep = client.cardinality(d=2.0)
-                assert len(sweep["results"]) == index.num_nodes
+                assert [
+                    json.loads(body)["node"] for _, body in responses
+                ] == nodes
+            except Exception as error:  # noqa: BLE001
+                failures.append(error)
 
-    def test_coalesce_max_batch_flushes_early(self, index):
-        with AsyncAdsServer(
-            index, port=0, coalesce_window=5.0, coalesce_max_batch=2
-        ) as server:
-            # Window is absurdly long: only the max-batch flush can
-            # answer within the timeout.
-            def query(n):
-                with QueryClient(server.url, timeout=10) as client:
-                    return client.cardinality(node=n, d=2.0)["value"]
-            with concurrent.futures.ThreadPoolExecutor(2) as pool:
-                start = time.monotonic()
-                values = list(pool.map(query, [0, 1]))
-                elapsed = time.monotonic() - start
-            assert elapsed < 4.0
-            assert values == [
-                index.node_cardinality_at(n, 2.0) for n in (0, 1)
-            ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadDispatchedAdsServer(index, port=0) as server:
+                threads = [
+                    threading.Thread(target=pipeline, args=(7 * c,))
+                    for c in range(connections)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                with QueryClient(server.url) as client:
+                    stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert stats["requests"] == connections * depth + 1
+        assert stats["transport"]["in_flight"] == 1  # the probe itself
+        assert stats["transport"]["connections_total"] == connections + 1
+
+
+class TestTransportStats:
+    def test_reads_count_waves_not_requests(self, index):
+        # requests / reads is the pipeline depth actually served: ten
+        # requests in one segment are one read.
+        with AdsServer(index, port=0) as server:
+            request = b"".join(
+                f"GET /cardinality?node={n} HTTP/1.1\r\nHost: x\r\n\r\n"
+                .encode() for n in range(10)
+            )
+            raw_exchange(server, request, expect=10)
+            with QueryClient(server.url) as client:
+                first = client.stats()
+                second = client.stats()
+        transport = first["transport"]
+        # The pipelining socket may still be closing server-side.
+        assert transport.pop("connections") in (1, 2)
+        assert transport == {
+            "mode": "async", "connections_total": 2, "reads": 1,
+            "in_flight": 1, "max_in_flight": 256, "load_shed": 0,
+        }
+        assert first["requests"] == 11
+        assert "threads" not in first
+        assert second["transport"]["reads"] == 2
 
 
 class TestTransportByteIdentity:
-    # The acceptance contract: every endpoint's payload bytes identical
-    # between transports, and binary == JSON after decoding.
+    # The acceptance contract: what leaves the socket is exactly
+    # handle_request's payload, encoded -- the transport adds framing
+    # and nothing else -- and binary == JSON after decoding.
     TARGETS = [
         ("GET", "/healthz", None),
         ("GET", "/cardinality?d=2.0", None),
@@ -453,32 +541,29 @@ class TestTransportByteIdentity:
         ) as conn:
             conn.sendall(raw)
             conn.settimeout(10)
-            data = b""
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
+            data = read_to_eof(conn)
         ((status, response_body),) = split_responses(data)
         return status, response_body
 
     def test_payload_bytes_identical_across_transports(self, index):
-        # cache_size=0 so "cached" flags cannot drift between servers.
-        with AdsServer(index, port=0, cache_size=0) as threaded:
-            with AsyncAdsServer(index, port=0, cache_size=0) as aio:
-                for method, target, payload in self.TARGETS:
-                    t_status, t_body = self.fetch(
-                        threaded, method, target, payload
-                    )
-                    a_status, a_body = self.fetch(
-                        aio, method, target, payload
-                    )
-                    assert (t_status, t_body) == (a_status, a_body), (
-                        f"{method} {target} diverged between transports"
-                    )
+        # One side is the socket, the other the call every in-process
+        # caller makes.  cache_size=0 so "cached" flags cannot drift.
+        with AdsServer(index, port=0, cache_size=0) as server:
+            for method, target, payload in self.TARGETS:
+                body = (
+                    json.dumps(payload).encode()
+                    if payload is not None else None
+                )
+                status, returned = server.handle_request(
+                    method, target, body,
+                    content_type="application/json",
+                )
+                assert self.fetch(server, method, target, payload) == (
+                    status, json.dumps(returned).encode()
+                ), f"{method} {target}: socket and handle_request diverge"
 
     def test_binary_payloads_decode_to_json_payloads(self, index):
-        with AsyncAdsServer(index, port=0, cache_size=0) as server:
+        with AdsServer(index, port=0, cache_size=0) as server:
             for method, target, payload in self.TARGETS:
                 j_status, j_body = self.fetch(
                     server, method, target, payload
@@ -496,49 +581,66 @@ class TestTransportByteIdentity:
 class TestAsyncLifecycle:
     def test_start_then_immediate_shutdown(self, index):
         start = time.perf_counter()
-        with AsyncAdsServer(index, port=0):
+        with AdsServer(index, port=0):
             pass
         assert time.perf_counter() - start < 4.0
 
     def test_shutdown_before_start_returns_promptly(self, index):
-        server = AsyncAdsServer(index, port=0)
+        server = AdsServer(index, port=0)
         server.shutdown()
 
     def test_close_is_idempotent(self, index):
-        server = AsyncAdsServer(index, port=0)
+        server = AdsServer(index, port=0)
         server.close()
         server.close()
 
     def test_port_reusable_after_shutdown(self, index):
-        first = AsyncAdsServer(index, port=0)
+        first = AdsServer(index, port=0)
         port = first.port
         first.shutdown()
-        second = AsyncAdsServer(index, port=port)
+        second = AdsServer(index, port=port)
         second.shutdown()
 
     def test_clean_shutdown_with_live_keepalive_connection(self, index):
         # A client holding a keep-alive socket open must not hang or
         # crash shutdown (its handler task is cancelled cleanly).
-        server = AsyncAdsServer(index, port=0)
+        # Well under shutdown()'s own 5 s join timeout, which is what
+        # a wait_closed() stuck on the live connection would run into.
+        server = AdsServer(index, port=0)
         server.start()
+        loop_thread = server._thread
         client = QueryClient(server.url)
         assert client.healthz()["status"] == "ok"
         start = time.perf_counter()
         server.shutdown()
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 2.0
+        assert not loop_thread.is_alive()
         client.close()
+
+    def test_stdlib_http_server_is_not_imported(self):
+        # One transport: the threaded chassis left the import graph,
+        # not just the default.
+        env_path = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import repro.serve; "
+             "print('http.server' in sys.modules)", env_path],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.stdout.strip() == "False", result.stderr
 
 
 class TestAsyncUpdates:
     def test_update_and_compact_through_async_transport(self, tmp_path):
-        # Writes take the same writer lock on the async path; a full
+        # Writes run inline on the loop under the writer lock; a full
         # update -> query -> compact -> reload cycle must agree with a
         # from-scratch rebuild.
         graph = path_graph(8).to_csr()
         built = AdsIndex.build(graph, k=4)
         index_path = tmp_path / "g.adsidx"
         built.save(index_path)
-        with AsyncAdsServer(
+        with AdsServer(
             built, port=0, graph=graph, index_path=index_path
         ) as server:
             with QueryClient(server.url) as client:

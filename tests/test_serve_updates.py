@@ -15,8 +15,8 @@ import pytest
 from repro.ads import AdsIndex
 from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
-from repro.serve import AdsServer, AsyncAdsServer, QueryClient, \
-    ReadWriteLock, ServeClientError
+from repro.serve import AdsServer, QueryClient, ReadWriteLock, \
+    ServeClientError
 
 
 def _chain_graph(n):
@@ -27,32 +27,28 @@ def _chain_graph(n):
 
 @pytest.fixture(params=["threaded", "async", "cluster"])
 def writable_server(tmp_path, request):
-    # Write semantics must hold on every deployment flavor: the async
-    # path takes the same writer lock through the shared
-    # handle_request, and the cluster router's two-phase fan-out must
-    # be observationally identical to a single writable server.
+    # Write semantics must hold on every deployment flavor: inline on
+    # the event loop ("async") and on the chassis's thread executor
+    # ("threaded", where readers really race the writer for the lock)
+    # the same handle_request takes the same writer lock, and the
+    # cluster router's two-phase fan-out must be observationally
+    # identical to a single writable server.
+    from cluster_harness import SINGLE_SERVER_FLAVORS, start_cluster
+
     graph = _chain_graph(24)
     index = AdsIndex.build(graph, 4)
     path = tmp_path / "ix.adsidx"
     index.save(path)
     if request.param == "cluster":
-        from cluster_harness import start_cluster
-
         with start_cluster(
             index, workers=2, graph=graph, tmp_path=tmp_path,
             cache_size=64,
         ) as cluster:
             yield cluster
         return
-    if request.param == "async":
-        server = AsyncAdsServer(
-            index, graph=graph, index_path=path, cache_size=64
-        )
-    else:
-        server = AdsServer(
-            index, graph=graph, index_path=path, cache_size=64, threads=4
-        )
-    with server:
+    with SINGLE_SERVER_FLAVORS[request.param](
+        index, graph=graph, index_path=path, cache_size=64
+    ) as server:
         yield server
 
 
@@ -97,8 +93,6 @@ class TestUpdateEndpoint:
                         failures.append(error)
                         return
 
-        # 3 keep-alive reader connections + 1 writer fit the fixture's
-        # 4 worker threads (a keep-alive connection pins its worker).
         readers = [threading.Thread(target=read_loop) for _ in range(3)]
         for reader in readers:
             reader.start()

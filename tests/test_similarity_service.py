@@ -11,11 +11,12 @@ Three layers are held to account here:
   exact (``==`` on floats), not approximate: both sides must execute
   the same float-op sequence.
 * **Service parity** -- every new endpoint answers identically (same
-  payloads) through the threaded server, the asyncio transport, and
-  the sharded cluster router, and the raw response *bytes* match
-  across all three on both wire codecs, refusals included.
+  payloads) through a single server in both dispatch modes and the
+  sharded cluster router; the raw response *bytes* are
+  ``handle_request``'s payload encoded and match between single
+  server and cluster on both wire codecs, refusals included.
 * **Flavor gating** -- similarity needs bottom-k sketches; the other
-  flavors refuse with a clean 409 on every transport, and the legacy
+  flavors refuse with a clean 409 on every deployment, and the legacy
   ``most_similar_nodes`` wrapper agrees with the batch layer.
 """
 
@@ -26,7 +27,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_harness import start_cluster
+from cluster_harness import SINGLE_SERVER_FLAVORS, start_cluster
 from repro.ads import AdsIndex
 from repro.ads.kernels import numpy_available
 from repro.centrality.similarity import (
@@ -38,7 +39,7 @@ from repro.errors import EstimatorError
 from repro.estimators.basic import bottom_k_cardinality
 from repro.graph import barabasi_albert_graph
 from repro.rand.hashing import HashFamily
-from repro.serve import AdsServer, AsyncAdsServer, QueryClient
+from repro.serve import AdsServer, QueryClient, wire
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -156,7 +157,7 @@ class TestKernelsMatchReference:
 
 
 # ----------------------------------------------------------------------
-# Service parity across the three transports
+# Service parity across the three deployment flavors
 # ----------------------------------------------------------------------
 @pytest.fixture(
     scope="module", params=["threaded", "async", "cluster"]
@@ -166,11 +167,10 @@ def server(index, request):
         with start_cluster(index, workers=2, cache_size=16) as cluster:
             yield cluster
         return
-    if request.param == "async":
-        factory = AsyncAdsServer(index, port=0, cache_size=16)
-    else:
-        factory = AdsServer(index, port=0, cache_size=16, threads=4)
-    with factory as running:
+    # "async": AdsServer as shipped (inline on the event loop);
+    # "threaded": the same server on the chassis's thread executor.
+    server_class = SINGLE_SERVER_FLAVORS[request.param]
+    with server_class(index, port=0, cache_size=16) as running:
         yield running
 
 
@@ -262,7 +262,7 @@ class TestEndpoints:
 
 
 # ----------------------------------------------------------------------
-# Raw bytes: the three transports answer identically, both codecs
+# Raw bytes: socket == handle_request == cluster router, both codecs
 # ----------------------------------------------------------------------
 def _raw(server, method, path, body=None, accept="application/json"):
     conn = http.client.HTTPConnection(
@@ -300,16 +300,29 @@ REQUESTS = (
 
 class TestByteIdentity:
     def test_all_transports_answer_identical_bytes(self, index):
-        with AdsServer(index, cache_size=4) as single, \
-                AsyncAdsServer(index, cache_size=4) as async_server, \
-                start_cluster(index, workers=3, cache_size=4) as cluster:
+        # The socket carries exactly what handle_request returns (the
+        # call in-process callers make), and the cluster router's
+        # merged answer is those same bytes.  cache_size=0: one
+        # request is asked three times and "cached" must not drift.
+        with AdsServer(index, cache_size=0) as single, \
+                start_cluster(index, workers=3, cache_size=0) as cluster:
             for method, path, body in REQUESTS:
+                data = (
+                    json.dumps(body).encode("utf-8")
+                    if body is not None else None
+                )
                 for accept in (
                     "application/json", "application/x-repro-wire"
                 ):
-                    reference = _raw(single, method, path, body, accept)
+                    status, payload = single.handle_request(
+                        method, path, data,
+                        content_type="application/json",
+                    )
+                    reference = (
+                        status, wire.encode_response(payload, accept)[0]
+                    )
                     assert _raw(
-                        async_server, method, path, body, accept
+                        single, method, path, body, accept
                     ) == reference, (method, path, accept)
                     assert _raw(
                         cluster, method, path, body, accept

@@ -387,7 +387,7 @@ def _spawn_serve(tmp_path, extra=()):
             sys.executable, "-m", "repro", "serve",
             "--index", str(tmp_path / "ix.adsidx"),
             "--graph", str(tmp_path / "graph.txt"),
-            "--no-mmap", "--port", "0", "--threads", "2",
+            "--no-mmap", "--port", "0",
             "--wal-dir", str(tmp_path / "wal"), *extra,
         ],
         env=env, stderr=subprocess.PIPE, text=True,
