@@ -554,7 +554,8 @@ class AdsIndex:
 
         ``kernel_workers`` is ``"auto"``/``None`` (consult
         ``REPRO_KERNEL_WORKERS``, then size to the hardware and layout;
-        serial below the measured crossover) or an explicit count,
+        serial below the measured crossover, and for the NumPy kernel,
+        which only loses by fanning out) or an explicit count,
         which is always honoured.  Results are bit-identical at any
         worker count; only the wall-clock changes.
         """
@@ -562,6 +563,7 @@ class AdsIndex:
             kernel_workers,
             entries=len(self._hip),
             shards=getattr(self._dist, "shard_count", None),
+            backend=self.backend,
         )
         self.kernel_workers = workers
         if workers > 1:

@@ -44,13 +44,14 @@ module:
 daemon's ``/stats`` report make the choice observable end to end.
 
 **Parallel execution.**  :mod:`repro.ads.kernels.parallel` wraps either
-kernel in a partition-parallel dispatcher (:func:`resolve_parallel`):
-batch queries and the dynamic-update HIP recompute fan out across a
-thread or process pool over contiguous node ranges (one per shard for
-sharded mmap layouts, entry-balanced otherwise) and merge in fixed
-partition order, so results stay bit-identical at any worker count.
-``AdsIndex(kernel_workers=...)``, the ``REPRO_KERNEL_WORKERS`` env
-var, and the CLI ``--kernel-workers`` flag select the worker count.
+kernel in a partition-parallel dispatcher (``ParallelKernel``, wired by
+``AdsIndex._wire_kernel``): batch queries and the dynamic-update HIP
+recompute fan out across a thread or process pool over contiguous node
+ranges (one per shard for sharded mmap layouts, entry-balanced
+otherwise) and merge in fixed partition order, so results stay
+bit-identical at any worker count.  ``AdsIndex(kernel_workers=...)``,
+the ``REPRO_KERNEL_WORKERS`` env var, and the CLI ``--kernel-workers``
+flag select the worker count.
 """
 
 from __future__ import annotations
@@ -144,37 +145,3 @@ def resolve(backend: Optional[str] = None):
             "backend='auto' to fall back to the pure-Python kernel"
         )
     return kernel
-
-
-def resolve_parallel(
-    backend: Optional[str] = None,
-    kernel_workers=None,
-    *,
-    entries: int = 0,
-    shards: Optional[int] = None,
-):
-    """Resolve a backend *and* a worker count to an executable kernel.
-
-    Returns ``(kernel, workers)``: the plain kernel module when the
-    effective worker count is 1, or a
-    :class:`~repro.ads.kernels.parallel.ParallelKernel` wrapping it
-    otherwise.  *entries* and *shards* feed the auto-worker heuristics
-    (see :func:`repro.ads.kernels.parallel.resolve_workers`).
-
-    Raises:
-        ParameterError: an unknown backend or malformed worker request.
-    """
-    from repro.ads.kernels import parallel
-
-    base = resolve(backend)
-    workers = parallel.resolve_workers(
-        kernel_workers, entries=entries, shards=shards
-    )
-    if workers <= 1:
-        return base, workers
-    return (
-        parallel.ParallelKernel(
-            base, workers, parallel.resolve_pool(base.NAME)
-        ),
-        workers,
-    )

@@ -36,14 +36,15 @@ as a *sequential* scan in the pure kernel's order:
   scan);
 * skewed groups (the neighborhood series' per-distance masses) use a
   bounded position-wise scan plus a seeded ``np.cumsum`` tail;
-* the k-mins / k-partition HIP-weight recurrences vectorise over
-  entries but keep the per-permutation / per-bucket combination order
-  of the pure estimators (``np.minimum.accumulate`` is exact, and the
-  k-term product/sum loops run in the same order).
+* the k-mins HIP-weight recurrence vectorises over entries but keeps
+  the per-permutation combination order of the pure estimator
+  (``np.minimum.accumulate`` is exact, and the k-term product loop
+  runs in the same order).
 
 Bottom-k HIP weights are a running k-th-smallest order statistic -- an
-inherently sequential recurrence -- so this kernel delegates them to
-the shared scalar core unchanged.
+inherently sequential recurrence -- and k-partition slices are too
+short for per-bucket array passes to pay, so this kernel delegates
+both to the shared scalar core unchanged.
 """
 
 from __future__ import annotations
@@ -583,42 +584,10 @@ def k_mins_hip_weights(
 def k_partition_hip_weights(
     entries: Sequence[Tuple[int, float]], k: int
 ) -> List[float]:
-    """k-partition adjusted weights (Equation 8), vectorised.
+    """k-partition adjusted weights (Equation 8): delegated to the
+    shared scalar core, like the bottom-k weights.  A slice holds about
+    k(1 + ln n - ln k) entries, and at that length the per-bucket array
+    passes cost several times the scalar loop they replaced."""
+    from repro.estimators.hip import k_partition_adjusted_weights
 
-    Per-bucket running minima are scattered back to entry positions via
-    ``searchsorted`` gathers; the across-buckets average accumulates
-    bucket by bucket in the pure estimator's order, so every tau is
-    bit-identical.
-    """
-    count = len(entries)
-    if not count:
-        return []
-    buckets = np.fromiter(
-        (entry[0] for entry in entries), dtype=np.int64, count=count
-    )
-    ranks = np.fromiter(
-        (entry[1] for entry in entries), dtype=np.float64, count=count
-    )
-    if len(buckets) and (buckets.min() < 0 or buckets.max() >= k):
-        offender = int(
-            buckets[np.argmax((buckets < 0) | (buckets >= k))]
-        )
-        raise EstimatorError(f"bucket {offender} outside [0, {k})")
-    minima_sum = np.zeros(count, dtype=np.float64)
-    positions = np.arange(count)
-    for bucket in range(k):
-        members = np.flatnonzero(buckets == bucket)
-        if not len(members):
-            minima_sum += 1.0
-            continue
-        prefix_min = np.minimum.accumulate(ranks[members])
-        seen_before = np.searchsorted(members, positions, side="left")
-        minima_sum += np.where(
-            seen_before > 0,
-            prefix_min[np.maximum(seen_before - 1, 0)],
-            1.0,
-        )
-    tau = minima_sum / k
-    if (tau <= 0.0).any():
-        raise EstimatorError("k-partition HIP probability vanished")
-    return (1.0 / tau).tolist()
+    return k_partition_adjusted_weights(entries, k)

@@ -50,9 +50,13 @@ consults ``REPRO_KERNEL_WORKERS``, then picks
 ``min(cpu_count, shard count)`` (or ``cpu_count`` for unsharded
 layouts) -- but stays serial below :data:`AUTO_MIN_ENTRIES` entries,
 where per-partition dispatch overhead (~0.1-1 ms between pool handoff
-and view rebasing) beats the win.  An explicit count is always
-honoured, small indexes included, so equivalence tests exercise the
-parallel paths.
+and view rebasing) beats the win, and always for the NumPy kernel:
+its serial sweeps already run at array speed, and fanned over threads
+they measured slower than serial at every size tried (0.45-0.88x on
+one CPU in ``BENCH_kernels.json``, 0.5-0.92x on two at harness
+scale), where the pure kernel over processes gains 1.3-1.6x.  An explicit
+count is always honoured, any backend and small indexes included, so
+equivalence tests exercise the parallel paths.
 
 **Fallback.**  Pools are cached per ``(mode, workers)`` and shared
 process-wide.  A mode whose executor cannot be created (sandboxes
@@ -135,6 +139,7 @@ def resolve_workers(
     *,
     entries: int = 0,
     shards: Optional[int] = None,
+    backend: str = "python",
 ) -> int:
     """The effective worker count for an index (see module docs).
 
@@ -145,6 +150,8 @@ def resolve_workers(
             gate input).
         shards: Shard count of a sharded-mmap layout, ``None``
             otherwise (auto caps workers at the partition count).
+        backend: The base kernel's ``NAME``; auto never fans out the
+            NumPy kernel.
 
     Raises:
         ParameterError: a malformed request or environment value.
@@ -163,7 +170,7 @@ def resolve_workers(
     if workers != "auto":
         return workers
     cpus = os.cpu_count() or 1
-    if cpus <= 1 or entries < AUTO_MIN_ENTRIES:
+    if cpus <= 1 or entries < AUTO_MIN_ENTRIES or backend == "numpy":
         return 1
     if shards is not None:
         return max(1, min(cpus, shards))

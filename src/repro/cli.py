@@ -66,7 +66,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
 
 _AUTO_KERNEL_WORKERS = (
     "auto, which honours the REPRO_KERNEL_WORKERS env var, then sizes "
-    "to the machine and shard layout, staying serial for small indexes"
+    "to the machine and shard layout, staying serial for small indexes "
+    "and for the numpy kernel"
 )
 
 
@@ -1392,7 +1393,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Inside the guard: output short enough to sit in the buffer
+        # only meets a closed pipe when it is flushed.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader left (`repro query ... | head`), which is not a
+        # failure to report.  The interpreter flushes stdout once more
+        # on exit; point it at devnull so that stays silent too (the
+        # recipe in the ``signal`` module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ReproError, OSError) as error:
         # Commands handle their own expected failures; this guard turns
         # anything that escapes (unreadable graph file, bad parameters)

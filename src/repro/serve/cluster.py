@@ -4,44 +4,52 @@ The deployment shape the paper's scale story implies: the ADSSHD01
 sharded layout is split by *global node-id range*, N ``repro serve``
 workers each serve one range (``AdsServer(node_range=...)`` -- a
 worker over a sharded mmap layout only ever maps its own shard
-files), and this router answers the single-server API by fanning out
-over the binary wire codec and merging exactly:
+files), and this router answers the single-server API over them.
 
-* **Single-node queries** (``?node=``, ``/node/<label>``) route to the
-  owning shard group and pass the worker's payload through untouched.
-* **Sweeps** (``/cardinality``, ``/closeness``) fan to every group in
-  shard order and concatenate: each node lives on exactly one shard
-  and workers emit rows in global id order, so concatenation *is* the
-  single-index row order, value-for-value bit-identical.
-* **``/top-central``** k-way merges the per-group top-``count`` rows
-  by re-ranking the union with the same
+The request handlers are not here: every read endpoint is implemented
+once, on :class:`~repro.serve.server.ServerBase`, which parses,
+validates, resolves labels (here against a :class:`LabelDirectory`),
+shapes and caches.  The router supplies the *fetch* behind each kind
+of read -- a few lines over one of five merge helpers, each exact:
+
+* **Node values** (``?node=``, ``/node/<label>``): :meth:`_ask_owner`
+  asks the owning shard group and takes ``value`` / ``series`` / the
+  summary fields out of its reply.  The shared handler shapes them, so
+  the bytes are the single server's because the same code wrote them,
+  not because a worker's payload was passed through.
+* **Node and pair batches** (``POST /cardinality`` / ``/closeness`` /
+  ``/similarity`` / ``/distance``): :meth:`_scatter` splits the items
+  by owning group and reassembles the values in request order.
+* **Sweeps** (``/cardinality``, ``/closeness``): :meth:`_gather` fans
+  to every group in shard order and concatenates.  Each node lives on
+  exactly one shard and workers emit rows in global id order, so
+  concatenation *is* the single-index row order, bit-identical.
+* **Top-k rows** (``/top-central``, ``/similar/<label>``):
+  :func:`merge_top_central` re-ranks the union of the per-group
+  top-``count`` rows with the same
   :func:`~repro.centrality.closeness.top_k_central_nodes` comparator
   (value, then node ``repr`` -- the documented tie-break).  The global
-  top-count is always a subset of the union of per-group top-counts,
-  so the merge is exact, not approximate (:func:`merge_top_central`).
-* **``/neighborhood``** chains the seeded ``POST /nf-chain``
+  top-count is always a subset of that union (for ``/similar`` each
+  worker scans only its own node range, and ``AdsIndex.most_similar``
+  ranks with that comparator too), so the merge is exact.
+* **The ANF series** (``/neighborhood``, ``/nf-curve``):
+  :meth:`_fetch_anf_series` chains the seeded ``POST /nf-chain``
   accumulation through the groups in shard order, then prefix-sums --
   replaying the single-index float-op sequence exactly (see
-  :meth:`~repro.ads.index.AdsIndex.accumulate_neighborhood_jumps`);
-  ``/nf-curve`` shapes that same cached series through the shared
-  :func:`~repro.serve.schemas.nf_curve_points` transform.
-* **Pair batches** (``POST /similarity``, ``POST /distance``) scatter
-  pairs by the group owning each pair's first node (any worker
-  answers any pair identically -- every worker holds the full index)
-  and reassemble values in request order, so the response rows are
-  value-for-value the single server's.
-* **``/similar/<label>``** fans the scan to every group (each worker
-  scans only its own node range) and re-ranks the union of per-range
-  top-``count`` rows with :func:`merge_top_central` -- exact for the
-  same subset argument as ``/top-central``.
-* **``POST /update``** is two-phase: validate at the router, refuse
-  unless every non-stale replica of every group is up, apply the
-  batch to *every* replica (full-index workers apply deterministically
-  and stay converged; a replica that misses a committed batch is
-  quarantined ``stale``), and only then grow the router's label
-  directory and invalidate its cache.  The fan-out runs under the
-  router's exclusive write lock, so no concurrent read ever observes
-  a torn cross-shard view.
+  :meth:`~repro.ads.index.AdsIndex.accumulate_neighborhood_jumps`).
+
+The one check a router cannot run itself is the bottom-k flavor gate:
+it is a property of the sketches, so the workers refuse (409) and
+:meth:`_call_group` re-raises a worker's 4xx verbatim.
+
+``POST /update`` is two-phase: the shared frame validates, then the
+router refuses unless every non-stale replica of every group is up,
+applies the batch to *every* replica (full-index workers apply
+deterministically and stay converged; a replica that misses a
+committed batch is quarantined ``stale``), and only then grows its
+label directory and lets the frame invalidate the cache.  The fan-out
+runs under the router's exclusive write lock, so no concurrent read
+ever observes a torn cross-shard view.
 
 Failover: replicas are health-checked (periodic ``/healthz`` probes
 plus per-RPC outcomes -- see :mod:`repro.serve.membership`).  A
@@ -88,29 +96,8 @@ from repro.serve.membership import (
     Replica,
     ShardGroup,
 )
-from repro.serve.schemas import (
-    WireError,
-    bad_request,
-    centrality_kwargs,
-    coerce_edge_labels,
-    conflict,
-    json_safe_number,
-    nf_curve_points,
-    parse_bool,
-    parse_edges,
-    parse_float,
-    parse_int,
-    parse_pairs,
-    parse_similarity_metric,
-    resolve_node,
-    resolve_nodes,
-)
-from repro.serve.server import (
-    DISPATCH_THREADS,
-    MAX_IN_FLIGHT,
-    ServerBase,
-    _batch_float,
-)
+from repro.serve.schemas import WireError, bad_request, conflict
+from repro.serve.server import DISPATCH_THREADS, MAX_IN_FLIGHT, ServerBase
 
 #: ``((start, stop_or_None), [replica_url, ...])`` -- one shard group.
 GroupSpec = Tuple[Tuple[int, Optional[int]], Sequence[str]]
@@ -128,9 +115,9 @@ class LabelDirectory:
 
     Duck-types the slice of the index surface the schemas layer needs
     (``__contains__`` for :func:`~repro.serve.schemas.resolve_node`,
-    :meth:`label_type` for edge coercion), so the router validates
-    requests with *exactly* the worker's code paths -- refusals stay
-    byte-identical to a single server's.  Grown in worker interning
+    :meth:`label_type` for edge coercion), which is what lets the
+    shared handlers resolve a request's labels without knowing whether
+    ``self._directory`` is this or an index.  Grown in worker interning
     order when updates append nodes (first occurrence of each new
     endpoint label, u before v, edge by edge).
     """
@@ -221,9 +208,9 @@ def merge_top_central(
 class RouterServer(ServerBase):
     """Fan-out router over a sharded worker cluster.
 
-    Serves the exact single-server API (same endpoints, same payload
-    bytes, same refusal messages) by delegating to shard workers; see
-    the module docstring for merge and failover semantics.
+    Serves the exact single-server API -- the inherited handlers --
+    by fetching from shard workers; see the module docstring for merge
+    and failover semantics.
 
     Args:
         labels: Every node label in global id order (``index.nodes()``
@@ -308,6 +295,9 @@ class RouterServer(ServerBase):
             f"resync_interval must be >= 0, got {resync_interval}",
         )
         self._directory = LabelDirectory(labels)
+        # Fixed for the router's life, as on AdsServer: coercion
+        # refuses any label that would break type uniformity.
+        self._label_type = self._directory.label_type()
         self.rpc_timeout = float(rpc_timeout)
         self.rpc_wire = rpc_wire
         self.probe_interval = float(probe_interval)
@@ -559,81 +549,71 @@ class RouterServer(ServerBase):
             self._directory.id_of(label), len(self._directory)
         )
 
+    def _ask_owner(
+        self, label: Any, path: str, params: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """One GET to the group owning *label*'s sketch."""
+        return self._call_group(
+            self._owner_group(label), "GET", path, params
+        )
+
+    def _group_rows(
+        self, path: str, params: Dict[str, str]
+    ) -> List[List[List[Any]]]:
+        """Fan a GET to every group; their row lists, in shard order."""
+        return [
+            payload["results"]
+            for payload in self._fan_out([
+                (group, "GET", path, params, None)
+                for group in self._groups
+            ])
+        ]
+
     def _gather(
         self, path: str, params: Dict[str, str]
     ) -> List[List[Any]]:
-        """Fan a sweep to every group in shard order and concatenate
-        the row lists (global node-id order by construction)."""
-        payloads = self._fan_out([
-            (group, "GET", path, params, None) for group in self._groups
+        """A sweep: every group's rows concatenated in shard order
+        (global node-id order by construction)."""
+        return [
+            row for rows in self._group_rows(path, params) for row in rows
+        ]
+
+    def _scatter(
+        self,
+        path: str,
+        key: str,
+        items: Sequence[Any],
+        owners: Sequence[Any],
+        fields: Dict[str, Any],
+    ) -> List[Any]:
+        """Batch POST: split *items* by the group owning each one's
+        *owners* label, send every group its share as body field *key*
+        beside the request's other *fields*, and return the values --
+        the last column of the workers' rows -- in request order.  A
+        node batch is owned label by label; a pair goes to its *first*
+        node's group (every worker holds the full index, so any worker
+        answers any pair value-for-value identically -- routing by
+        first endpoint just spreads the work)."""
+        positions_of: Dict[ShardGroup, List[int]] = {}
+        for position, owner in enumerate(owners):
+            positions_of.setdefault(
+                self._owner_group(owner), []
+            ).append(position)
+        responses = self._fan_out([
+            (
+                group, "POST", path, None,
+                {**fields, key: [items[p] for p in positions]},
+            )
+            for group, positions in positions_of.items()
         ])
-        merged: List[List[Any]] = []
-        for payload in payloads:
-            merged.extend(payload["results"])
-        return merged
-
-    def _scatter_batch(
-        self,
-        path: str,
-        labels: Sequence[Any],
-        make_payload,
-    ) -> List[Any]:
-        """Batch POST: split *labels* by owning group, query groups in
-        parallel, reassemble values in request order."""
-        per_group: Dict[int, Tuple[ShardGroup, List[int]]] = {}
-        for position, label in enumerate(labels):
-            group = self._owner_group(label)
-            per_group.setdefault(id(group), (group, []))[1].append(
-                position
-            )
-        requests, slots = [], []
-        for group, positions in per_group.values():
-            requests.append((
-                group, "POST", path, None,
-                make_payload([labels[p] for p in positions]),
-            ))
-            slots.append(positions)
-        responses = self._fan_out(requests)
-        values: List[Any] = [None] * len(labels)
-        for positions, payload in zip(slots, responses):
+        values: List[Any] = [None] * len(items)
+        for positions, payload in zip(positions_of.values(), responses):
             for position, row in zip(positions, payload["results"]):
-                values[position] = row[1]
-        return values
-
-    def _scatter_pairs(
-        self,
-        path: str,
-        pairs: Sequence[Tuple[Any, Any]],
-        make_payload,
-    ) -> List[Any]:
-        """Pair-batch POST: split *pairs* by the group owning each
-        pair's *first* node (every worker holds the full index, so any
-        worker answers any pair value-for-value identically -- routing
-        by first endpoint just spreads the work), query groups in
-        parallel, reassemble values in request order from the workers'
-        ``[u, v, value]`` rows."""
-        per_group: Dict[int, Tuple[ShardGroup, List[int]]] = {}
-        for position, pair in enumerate(pairs):
-            group = self._owner_group(pair[0])
-            per_group.setdefault(id(group), (group, []))[1].append(
-                position
-            )
-        requests, slots = [], []
-        for group, positions in per_group.values():
-            requests.append((
-                group, "POST", path, None,
-                make_payload([pairs[p] for p in positions]),
-            ))
-            slots.append(positions)
-        responses = self._fan_out(requests)
-        values: List[Any] = [None] * len(pairs)
-        for positions, payload in zip(slots, responses):
-            for position, row in zip(positions, payload["results"]):
-                values[position] = row[2]
+                values[position] = row[-1]
         return values
 
     # ------------------------------------------------------------------
-    # Read endpoints
+    # Liveness and counters
     # ------------------------------------------------------------------
     def _healthz(self, params, body) -> Dict[str, Any]:
         return {
@@ -697,105 +677,48 @@ class RouterServer(ServerBase):
         pending = stats.get("updates", {}).get("pending_batches", 0)
         return index_stats, pending
 
-    def _node_summary(self, raw: str) -> Dict[str, Any]:
-        if not raw:
-            raise bad_request("/node/<label> requires a label")
-        label = resolve_node(self._directory, raw)
-        return self._call_group(
-            self._owner_group(label),
-            "GET",
-            f"/node/{quote(str(label), safe='')}",
+    # ------------------------------------------------------------------
+    # Fetches: the sketches live on the workers.  ServerBase has the
+    # handlers that call these; the module docstring, why each is exact.
+    # ------------------------------------------------------------------
+    def _fetch_node_cardinality(self, label, d, params):
+        return self._ask_owner(label, "/cardinality", params)["value"]
+
+    def _fetch_node_closeness(self, label, kwargs, params):
+        return self._ask_owner(label, "/closeness", params)["value"]
+
+    def _fetch_node_series(self, label, params):
+        return self._ask_owner(label, "/neighborhood", params)["series"]
+
+    def _fetch_node_summary(self, label) -> Dict[str, Any]:
+        summary = self._ask_owner(
+            label, f"/node/{quote(str(label), safe='')}"
+        )
+        del summary["node"]  # the shared handler leads with its own
+        return summary
+
+    def _fetch_batch_cardinality(self, labels, d):
+        return self._scatter("/cardinality", "nodes", labels, labels, {"d": d})
+
+    def _fetch_batch_closeness(self, labels, kwargs, kind_params):
+        return self._scatter(
+            "/closeness", "nodes", labels, labels, kind_params
         )
 
-    def _cardinality(self, params, body) -> Dict[str, Any]:
-        if body is not None:
-            d = _batch_float(body, "d", math.inf)
-            labels = resolve_nodes(self._directory, body.get("nodes"))
-            values = self._scatter_batch(
-                "/cardinality", labels,
-                lambda group_labels: {"nodes": group_labels, "d": d},
-            )
-            return {
-                "d": json_safe_number(d),
-                "results": [
-                    [label, value]
-                    for label, value in zip(labels, values)
-                ],
-            }
-        d = parse_float(params, "d", math.inf)
-        if "node" in params:
-            label = resolve_node(self._directory, params["node"])
-            return self._call_group(
-                self._owner_group(label),
-                "GET", "/cardinality", params=params,
-            )
-        if d == math.inf:
-            results, cached = self._cached(
-                ("/cardinality", d),
-                lambda: self._gather("/cardinality", params),
-            )
-        else:
-            results = self._gather("/cardinality", params)
-            cached = False
-        return {"d": json_safe_number(d), "results": results,
-                "cached": cached}
+    def _fetch_sweep_cardinality(self, d, params):
+        return self._gather("/cardinality", params)
 
-    def _closeness(self, params, body) -> Dict[str, Any]:
-        if body is not None:
-            string_params = {
-                name: str(body[name])
-                for name in ("kind", "half_life") if name in body
-            }
-            centrality_kwargs(string_params)  # refusal parity
-            labels = resolve_nodes(self._directory, body.get("nodes"))
+    def _fetch_sweep_closeness(self, kwargs, params):
+        return self._gather("/closeness", params)
 
-            def make_payload(group_labels):
-                payload: Dict[str, Any] = {"nodes": group_labels}
-                for name in ("kind", "half_life"):
-                    if name in body:
-                        payload[name] = body[name]
-                return payload
-
-            values = self._scatter_batch(
-                "/closeness", labels, make_payload
-            )
-            return {
-                "kind": string_params.get("kind", "classic"),
-                "results": [
-                    [label, value]
-                    for label, value in zip(labels, values)
-                ],
-            }
-        centrality_kwargs(params)  # refusal parity before any RPC
-        if "node" in params:
-            label = resolve_node(self._directory, params["node"])
-            return self._call_group(
-                self._owner_group(label),
-                "GET", "/closeness", params=params,
-            )
-        results, cached = self._cached(
-            ("/closeness",) + self._centrality_key(params),
-            lambda: self._gather("/closeness", params),
+    def _fetch_top_central(self, count, largest, kwargs, params):
+        return merge_top_central(
+            self._group_rows("/top-central", params), count, largest=largest
         )
-        return {"kind": params.get("kind", "classic"),
-                "results": results, "cached": cached}
 
-    def _neighborhood(self, params, body) -> Dict[str, Any]:
-        if "node" in params:
-            label = resolve_node(self._directory, params["node"])
-            return self._call_group(
-                self._owner_group(label),
-                "GET", "/neighborhood", params=params,
-            )
-        series, cached = self._cached(
-            ("/neighborhood",), self._chain_neighborhood
-        )
-        return {"series": series, "cached": cached}
-
-    def _chain_neighborhood(self) -> List[List[float]]:
-        """Sequential seeded accumulation through the groups in shard
-        order, then one prefix sum -- the single-index ANF float-op
-        sequence, replayed distributedly (see module docstring)."""
+    def _fetch_anf_series(self) -> List[List[float]]:
+        """Seeded accumulation through the groups in shard order, then
+        one prefix sum: the single-index float-op sequence, replayed."""
         jumps: List[List[float]] = []
         for group in self._groups:
             jumps = self._call_group(
@@ -808,132 +731,21 @@ class RouterServer(ServerBase):
             series.append([distance, running])
         return series
 
-    def _top_central(self, params, body) -> Dict[str, Any]:
-        count = parse_int(params, "count", 10, minimum=1)
-        largest = parse_bool(params, "largest", True)
-        centrality_kwargs(params)  # refusal parity before any RPC
-        results, cached = self._cached(
-            ("/top-central", count, largest)
-            + self._centrality_key(params),
-            lambda: merge_top_central(
-                [
-                    payload["results"]
-                    for payload in self._fan_out([
-                        (group, "GET", "/top-central", params, None)
-                        for group in self._groups
-                    ])
-                ],
-                count,
-                largest=largest,
+    def _fetch_pair_values(self, path, pairs, fields):
+        values = self._scatter(
+            path, "pairs", pairs, [u for u, _ in pairs], fields
+        )
+        # A worker's wire row carries an unreachable distance as null;
+        # hand back the estimate itself, as a local index would.
+        return [math.inf if value is None else value for value in values]
+
+    def _fetch_similar(self, label, count, d, params):
+        return merge_top_central(
+            self._group_rows(
+                f"/similar/{quote(str(label), safe='')}", params
             ),
-        )
-        return {
-            "kind": params.get("kind", "classic"),
-            "count": count,
-            "largest": largest,
-            "results": results,
-            "cached": cached,
-        }
-
-    # ------------------------------------------------------------------
-    # Similarity / distance-oracle endpoints
-    #
-    # Validation order mirrors AdsServer exactly (metric -> pairs -> d
-    # before any RPC), so malformed requests refuse with the same
-    # status and bytes as a single server; the flavor gate (409 on a
-    # non-bottom-k index) is the one check the router cannot run
-    # itself, and _call_group re-raises the worker's 4xx verbatim.
-    # ------------------------------------------------------------------
-    def _similarity(self, params, body) -> Dict[str, Any]:
-        metric = parse_similarity_metric(body)
-        pairs = parse_pairs(self._directory, body)
-        if metric == "jaccard":
-            d = _batch_float(body, "d", math.inf)
-            values = self._scatter_pairs(
-                "/similarity", pairs,
-                lambda group_pairs: {
-                    "metric": metric,
-                    "pairs": [list(pair) for pair in group_pairs],
-                    "d": d,
-                },
-            )
-            return {
-                "metric": metric,
-                "d": json_safe_number(d),
-                "results": [
-                    [u, v, value]
-                    for (u, v), value in zip(pairs, values)
-                ],
-            }
-        if "d" in body:
-            raise bad_request("d only applies to the jaccard metric")
-        values = self._scatter_pairs(
-            "/similarity", pairs,
-            lambda group_pairs: {
-                "metric": metric,
-                "pairs": [list(pair) for pair in group_pairs],
-            },
-        )
-        return {
-            "metric": metric,
-            "results": [
-                [u, v, value] for (u, v), value in zip(pairs, values)
-            ],
-        }
-
-    def _distance(self, params, body) -> Dict[str, Any]:
-        pairs = parse_pairs(self._directory, body)
-        values = self._scatter_pairs(
-            "/distance", pairs,
-            lambda group_pairs: {
-                "pairs": [list(pair) for pair in group_pairs],
-            },
-        )
-        # Workers already emit JSON-safe values (None for unreachable),
-        # so reassembled rows pass through untouched.
-        return {
-            "results": [
-                [u, v, value] for (u, v), value in zip(pairs, values)
-            ],
-        }
-
-    def _similar(self, raw: str, params) -> Dict[str, Any]:
-        if not raw:
-            raise bad_request("/similar/<label> requires a label")
-        count = parse_int(params, "count", 10, minimum=1)
-        d = parse_float(params, "d", math.inf)
-        label = resolve_node(self._directory, raw)
-        # Each worker scans only its own node range, so the global
-        # top-count is a subset of the union of per-range top-counts
-        # (every candidate lives in exactly one range) and the
-        # merge_top_central re-rank -- same comparator as
-        # AdsIndex.most_similar -- is exact.
-        payloads = self._fan_out([
-            (
-                group, "GET",
-                f"/similar/{quote(str(label), safe='')}",
-                params, None,
-            )
-            for group in self._groups
-        ])
-        merged = merge_top_central(
-            [payload["results"] for payload in payloads],
             count, largest=True,
         )
-        return {
-            "node": label,
-            "count": count,
-            "d": json_safe_number(d),
-            "results": merged,
-        }
-
-    def _nf_curve(self, params, body) -> Dict[str, Any]:
-        series, cached = self._cached(
-            ("/neighborhood",), self._chain_neighborhood
-        )
-        points, total = nf_curve_points(series)
-        return {"points": points, "total_pairs": total,
-                "cached": cached}
 
     # ------------------------------------------------------------------
     # Write endpoints (two-phase, under the router's exclusive lock)
@@ -1036,14 +848,7 @@ class RouterServer(ServerBase):
         assert first_result is not None
         return first_result
 
-    def _update(self, params, body) -> Dict[str, Any]:
-        self._require_writable()
-        # Validate with the worker's own schema layer (byte-identical
-        # refusals) before touching any replica.
-        edges = coerce_edge_labels(
-            self._directory, parse_edges(body),
-            label_type=self._directory.label_type(),
-        )
+    def _apply_update(self, edges) -> Dict[str, Any]:
         self._require_full_membership("update")
         result = self._fan_write(
             "/update",
@@ -1057,9 +862,6 @@ class RouterServer(ServerBase):
         for edge in edges:
             self._directory.append(edge[0])
             self._directory.append(edge[1])
-        self.cache.clear()
-        with self._counter_lock:
-            self._updates_applied += 1
         return result
 
     def _compact(self, params, body) -> Dict[str, Any]:

@@ -8,8 +8,11 @@ chassis (:meth:`repro.serve.server.ServerBase._build_routes`) builds
 its dispatch tables from this registry, so the single server, the
 shard worker, and the cluster router all serve exactly the same route
 table -- an endpoint registered here exists on all of them (or 404s
-identically on all of them), and the byte-identity the test suite
-asserts across deployments is structural rather than per-endpoint.
+identically on all of them).  The handlers the public read endpoints
+name are themselves ``ServerBase`` methods, inherited unchanged by
+every flavor, so the byte-identity the test suite asserts across
+deployments is structural: same routes, same handler code, and only
+the fetch from the sketches behind it differs.
 
 Scopes:
 
@@ -40,9 +43,11 @@ class EndpointSpec(NamedTuple):
     """One served endpoint, declaratively.
 
     ``handler`` is the name of the bound method looked up on the server
-    instance at construction time -- every server flavor implements (or
-    inherits) one method per spec in its scopes, and route tables stay
-    plain ``{path: (bound handler, methods)}`` dicts at dispatch time.
+    instance at construction time -- inherited from ``ServerBase`` for
+    the public reads and ``/update``, the class's own for ``/healthz``,
+    ``/stats``, ``/compact`` and the worker scope -- and route tables
+    stay plain ``{path: (bound handler, methods)}`` dicts at dispatch
+    time.
     ``prefix`` routes match ``path`` as a leading segment and hand the
     remainder (the label) to the handler.
     """

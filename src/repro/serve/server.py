@@ -182,8 +182,11 @@ class ServerBase:
     *not* per subclass: it is built from the declarative endpoint
     registry (:mod:`repro.serve.registry`) filtered by the class's
     ``_ROUTE_SCOPES``, so every flavor serves (and 404s) the same API
-    by construction; subclasses just implement the handler methods the
-    registry names, plus :meth:`_node_summary`.
+    by construction.  The public read endpoints and the ``/update``
+    frame are implemented here too, once; a subclass writes only how a
+    value is *fetched* from the sketches (the ``_fetch_*`` methods,
+    listed above the handlers), ``/healthz``, ``/stats``, and its own
+    write path.
 
     The listening socket binds at construction, so :attr:`port` and
     :attr:`url` are readable -- and :meth:`close` works -- on a server
@@ -521,9 +524,18 @@ class ServerBase:
             name, sep, value = stripped.partition(b":")
             if not sep:
                 raise _ProtocolError(400, "malformed header line")
-            headers[name.strip().lower().decode("latin-1")] = (
-                value.strip().decode("latin-1")
-            )
+            key = name.strip().lower().decode("latin-1")
+            text = value.strip().decode("latin-1")
+            # Two lengths that disagree are two framings of one stream:
+            # whichever this server picked, a proxy may pick the other.
+            if key == "content-length" and headers.get(key, text) != text:
+                raise _ProtocolError(400, "conflicting Content-Length")
+            headers[key] = text
+        if "transfer-encoding" in headers:
+            # Chunked bodies are not implemented; ignoring the header
+            # would frame by Content-Length (or leave the chunks in the
+            # buffer to be parsed as the next pipelined request).
+            raise _ProtocolError(501, "Transfer-Encoding is not supported")
         connection = headers.get("connection", "").lower()
         if version == "HTTP/1.0":
             keep_alive = connection == "keep-alive"
@@ -531,12 +543,12 @@ class ServerBase:
             keep_alive = connection != "close"
         body: Optional[bytes] = None
         if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
+            digits = headers["content-length"]
+            # ASCII digits only, and few enough for int(): on its own
+            # int() also takes "+10", "1_0" and non-ASCII digits.
+            if not (digits.isascii() and digits.isdigit()) or len(digits) > 18:
                 raise _ProtocolError(400, "invalid Content-Length")
-            if length < 0:
-                raise _ProtocolError(400, "invalid Content-Length")
+            length = int(digits)
             if length > _MAX_BODY_BYTES:
                 raise _ProtocolError(400, "request body too large")
             body_start = head_end + sep_len
@@ -557,8 +569,8 @@ class ServerBase:
             if method == "POST":
                 body = raw_body
         elif method == "POST":
-            # No Content-Length: a chunked (or absent) body we will
-            # not read, so the connection cannot be kept alive.
+            # No Content-Length: an absent body (or one we cannot
+            # frame), so the connection cannot be kept alive.
             raise _ProtocolError(400, "POST requires Content-Length")
         else:
             del buf[:head_end + sep_len]
@@ -740,12 +752,203 @@ class ServerBase:
         )
         return kind, half_life
 
+    # ------------------------------------------------------------------
+    # Read endpoints: one implementation for every server flavor
+    # ------------------------------------------------------------------
+    #
+    # Each handler parses, validates, resolves labels against
+    # ``self._directory``, *fetches*, shapes, and caches whole-graph
+    # results.  Where the sketches live changes only the fetch:
+    #
+    #   node value    _fetch_node_cardinality(label, d, params)
+    #                 _fetch_node_closeness(label, kwargs, params)
+    #                 _fetch_node_series(label, params)
+    #   node batch    _fetch_batch_cardinality(labels, d)
+    #                 _fetch_batch_closeness(labels, kwargs, kind_params)
+    #   sweep rows    _fetch_sweep_cardinality(d, params)
+    #                 _fetch_sweep_closeness(kwargs, params)
+    #   top-k rows    _fetch_top_central(count, largest, kwargs, params)
+    #   ANF series    _fetch_anf_series()
+    #   pair batch    _fetch_pair_values(path, pairs, fields)
+    #   neighbours    _fetch_similar(label, count, d, params)
+    #   node summary  _fetch_node_summary(label)
+    #
+    # A fetch returns what the index itself would -- floats (``inf``
+    # included), or ``[x, value]`` wire rows in answer order -- and may
+    # refuse: the bottom-k flavor gate is a property of the sketches,
+    # so it sits there, after every check a handler can make without
+    # them.  Arguments arrive parsed; the request's own string
+    # ``params`` / ``kind_params`` ride along for a server that
+    # forwards the question to the sketches' owner instead.
+    def _cardinality(self, params, body) -> Dict[str, Any]:
+        if body is not None:
+            d = _batch_float(body, "d", math.inf)
+            labels = resolve_nodes(self._directory, body.get("nodes"))
+            values = self._fetch_batch_cardinality(labels, d)
+            return {
+                "d": json_safe_number(d),
+                "results": [
+                    [label, value]
+                    for label, value in zip(labels, values)
+                ],
+            }
+        d = parse_float(params, "d", math.inf)
+        if "node" in params:
+            label = resolve_node(self._directory, params["node"])
+            return {
+                "node": label,
+                "d": json_safe_number(d),
+                "value": self._fetch_node_cardinality(label, d, params),
+            }
+        if d == math.inf:
+            # Only the default all-reachable sweep is cached: d is a
+            # continuous parameter, so caching every distinct threshold
+            # would let a d-sweeping client pin cache-size O(n) result
+            # lists in RAM.  Arbitrary-d sweeps stay O(n log k) per
+            # request off the (once-materialised) prefix sums.
+            results, cached = self._cached(
+                ("/cardinality", d),
+                lambda: self._fetch_sweep_cardinality(d, params),
+            )
+        else:
+            results = self._fetch_sweep_cardinality(d, params)
+            cached = False
+        return {"d": json_safe_number(d), "results": results,
+                "cached": cached}
+
+    def _closeness(self, params, body) -> Dict[str, Any]:
+        if body is not None:
+            kind_params = {
+                name: str(body[name])
+                for name in ("kind", "half_life") if name in body
+            }
+            kwargs = centrality_kwargs(kind_params)
+            labels = resolve_nodes(self._directory, body.get("nodes"))
+            values = self._fetch_batch_closeness(labels, kwargs, kind_params)
+            return {
+                "kind": kind_params.get("kind", "classic"),
+                "results": [
+                    [label, value]
+                    for label, value in zip(labels, values)
+                ],
+            }
+        kwargs = centrality_kwargs(params)
+        if "node" in params:
+            label = resolve_node(self._directory, params["node"])
+            return {
+                "node": label,
+                "kind": params.get("kind", "classic"),
+                "value": self._fetch_node_closeness(label, kwargs, params),
+            }
+        results, cached = self._cached(
+            ("/closeness",) + self._centrality_key(params),
+            lambda: self._fetch_sweep_closeness(kwargs, params),
+        )
+        return {"kind": params.get("kind", "classic"), "results": results,
+                "cached": cached}
+
+    def _neighborhood(self, params, body) -> Dict[str, Any]:
+        if "node" in params:
+            label = resolve_node(self._directory, params["node"])
+            return {
+                "node": label,
+                "series": self._fetch_node_series(label, params),
+            }
+        series, cached = self._cached(
+            ("/neighborhood",), self._fetch_anf_series
+        )
+        return {"series": series, "cached": cached}
+
+    def _nf_curve(self, params, body) -> Dict[str, Any]:
+        # Shares the /neighborhood cache entry: the curve is a pure
+        # transform of the same series.
+        series, cached = self._cached(
+            ("/neighborhood",), self._fetch_anf_series
+        )
+        points, total = nf_curve_points(series)
+        return {"points": points, "total_pairs": total, "cached": cached}
+
+    def _top_central(self, params, body) -> Dict[str, Any]:
+        count = parse_int(params, "count", 10, minimum=1)
+        largest = parse_bool(params, "largest", True)
+        kwargs = centrality_kwargs(params)
+        results, cached = self._cached(
+            ("/top-central", count, largest) + self._centrality_key(params),
+            lambda: self._fetch_top_central(count, largest, kwargs, params),
+        )
+        return {
+            "kind": params.get("kind", "classic"),
+            "count": count,
+            "largest": largest,
+            "results": results,
+            "cached": cached,
+        }
+
+    def _similarity(self, params, body) -> Dict[str, Any]:
+        metric = parse_similarity_metric(body)
+        pairs = parse_pairs(self._directory, body)
+        fields: Dict[str, Any] = {"metric": metric}
+        if metric == "jaccard":
+            fields["d"] = _batch_float(body, "d", math.inf)
+        elif "d" in body:
+            raise bad_request("d only applies to the jaccard metric")
+        values = self._fetch_pair_values("/similarity", pairs, fields)
+        reply = dict(fields)
+        if "d" in reply:
+            reply["d"] = json_safe_number(reply["d"])
+        reply["results"] = [
+            [u, v, value] for (u, v), value in zip(pairs, values)
+        ]
+        return reply
+
+    def _distance(self, params, body) -> Dict[str, Any]:
+        pairs = parse_pairs(self._directory, body)
+        values = self._fetch_pair_values("/distance", pairs, {})
+        # Unreachable pairs estimate to inf, which JSON cannot carry:
+        # they come back as null.
+        return {
+            "results": [
+                [u, v, json_safe_number(value)]
+                for (u, v), value in zip(pairs, values)
+            ],
+        }
+
+    def _similar(self, raw: str, params) -> Dict[str, Any]:
+        if not raw:
+            raise bad_request("/similar/<label> requires a label")
+        count = parse_int(params, "count", 10, minimum=1)
+        d = parse_float(params, "d", math.inf)
+        label = resolve_node(self._directory, raw)
+        return {
+            "node": label,
+            "count": count,
+            "d": json_safe_number(d),
+            "results": self._fetch_similar(label, count, d, params),
+        }
+
     def _node(self, raw: str, params: Dict[str, str]) -> Dict[str, Any]:
-        """``GET /node/<label>`` prefix route -> per-flavor summary."""
+        """``GET /node/<label>`` prefix route."""
         return self._node_summary(raw)
 
     def _node_summary(self, raw: str) -> Dict[str, Any]:
-        raise NotImplementedError
+        if not raw:
+            raise bad_request("/node/<label> requires a label")
+        label = resolve_node(self._directory, raw)
+        return {"node": label, **self._fetch_node_summary(label)}
+
+    def _update(self, params, body) -> Dict[str, Any]:
+        """Apply an edge batch (exclusive lock held): validate, hand
+        the typed edges to :meth:`_apply_update`, then drop the cached
+        whole-graph results -- stale by definition -- and count it."""
+        self._require_writable()
+        edges = coerce_edge_labels(
+            self._directory, parse_edges(body), label_type=self._label_type
+        )
+        result = self._apply_update(edges)
+        self.cache.clear()
+        with self._counter_lock:
+            self._updates_applied += 1
+        return result
 
 
 class AdsServer(ServerBase):
@@ -1000,12 +1203,8 @@ class AdsServer(ServerBase):
                 "with --graph to accept updates"
             )
 
-    def _update(self, params, body) -> Dict[str, Any]:
-        """Apply an edge batch to the live index (exclusive lock held)."""
-        self._require_writable()
-        edges = coerce_edge_labels(
-            self.index, parse_edges(body), label_type=self._label_type
-        )
+    def _apply_update(self, edges) -> Dict[str, Any]:
+        """Splice a validated edge batch into the live index."""
         if self.wal is not None:
             # Logged and fsync'd *before* apply: once the client sees
             # 200, the batch survives any crash.  A batch apply_edges
@@ -1018,10 +1217,6 @@ class AdsServer(ServerBase):
                 raise
         else:
             result = self.index.apply_edges(self.graph, edges)
-        # Whole-graph sweeps cached before this batch are stale now.
-        self.cache.clear()
-        with self._counter_lock:
-            self._updates_applied += 1
         return {
             **result.to_dict(),
             "nodes": self.index.num_nodes,
@@ -1179,14 +1374,73 @@ class AdsServer(ServerBase):
             write_edge_list(self.graph, self.graph_path, all_nodes=True)
         return True
 
-    # -- sweep helpers (node_range-aware) ------------------------------
-    #
-    # A full-index worker uses the batch kernel paths; a shard worker
-    # sweeps its rows through the per-node query methods, which the
-    # index documents as bit-identical to the batch kernels.  Both
-    # produce rows in global node-id order, so a router concatenating
+    # -- fetches: the sketches are local -------------------------------
+    @property
+    def _directory(self) -> AdsIndex:
+        """What request labels resolve against: the served index."""
+        return self.index
+
+    def _fetch_node_cardinality(self, label, d, params):
+        return self.index.node_cardinality_at(label, d)
+
+    def _fetch_node_closeness(self, label, kwargs, params):
+        return self.index.node_closeness_centrality(label, **kwargs)
+
+    def _fetch_node_series(self, label, params):
+        return series_pairs(self.index.node_neighborhood_function(label))
+
+    def _fetch_batch_cardinality(self, labels, d):
+        return self.index.nodes_cardinality_at(labels, d)
+
+    def _fetch_batch_closeness(self, labels, kwargs, kind_params):
+        return [
+            self.index.node_closeness_centrality(label, **kwargs)
+            for label in labels
+        ]
+
+    def _fetch_node_summary(self, label) -> Dict[str, Any]:
+        lo, hi = self.index._slice(label)
+        return {
+            "sketch_size": hi - lo,
+            "reachable": self.index.node_cardinality_at(label),
+            "closeness_classic": self.index.node_closeness_centrality(
+                label, classic=True
+            ),
+            "neighborhood": self._fetch_node_series(label, None),
+        }
+
+    def _require_bottomk_index(self) -> None:
+        if self.index.flavor != "bottomk":
+            raise conflict(
+                "similarity queries need a bottom-k index; this "
+                f"server's index flavor is {self.index.flavor!r}"
+            )
+
+    def _fetch_pair_values(self, path, pairs, fields):
+        self._require_bottomk_index()
+        if path == "/distance":
+            return self.index.pairs_distance_estimate(pairs)
+        if fields["metric"] == "jaccard":
+            return self.index.pairs_neighborhood_jaccard(pairs, fields["d"])
+        return self.index.pairs_closeness_similarity(pairs)
+
+    def _fetch_similar(self, label, count, d, params):
+        self._require_bottomk_index()
+        start, stop = self._range_bounds()
+        return [
+            [node, value]
+            for node, value in self.index.most_similar(
+                label, count=count, d=d, start=start, stop=stop
+            )
+        ]
+
+    # The whole-graph fetches are node_range-aware: a full-index
+    # server uses the batch kernel paths; a shard worker sweeps its
+    # rows through the per-node query methods, which the index
+    # documents as bit-identical to the batch kernels.  Both produce
+    # rows in global node-id order, so a router concatenating
     # contiguous ranges reproduces the single-index ordering exactly.
-    def _sweep_cardinality(self, d: float):
+    def _fetch_sweep_cardinality(self, d, params):
         if self.node_range is None:
             return label_value_pairs(self.index.cardinality_at(d))
         start, stop = self._range_bounds()
@@ -1194,7 +1448,7 @@ class AdsServer(ServerBase):
         values = self.index.nodes_cardinality_at(labels, d)
         return [[label, value] for label, value in zip(labels, values)]
 
-    def _sweep_closeness(self, kwargs):
+    def _fetch_sweep_closeness(self, kwargs, params):
         if self.node_range is None:
             return label_value_pairs(
                 self.index.closeness_centrality(**kwargs)
@@ -1205,27 +1459,17 @@ class AdsServer(ServerBase):
             for label in self.index.nodes()[start:stop]
         ]
 
-    def _sweep_top_central(self, count: int, largest: bool, kwargs):
+    def _fetch_top_central(self, count, largest, kwargs, params):
         if self.node_range is None:
-            return [
-                [label, value]
-                for label, value in self.index.top_central(
-                    count, largest=largest, **kwargs
-                )
-            ]
-        start, stop = self._range_bounds()
-        values = {
-            label: self.index.node_closeness_centrality(label, **kwargs)
-            for label in self.index.nodes()[start:stop]
-        }
-        return [
-            [label, value]
-            for label, value in top_k_central_nodes(
-                values, count, largest=largest
+            ranked = self.index.top_central(count, largest=largest, **kwargs)
+        else:
+            ranked = top_k_central_nodes(
+                dict(self._fetch_sweep_closeness(kwargs, params)),
+                count, largest=largest,
             )
-        ]
+        return [[label, value] for label, value in ranked]
 
-    def _sweep_neighborhood(self):
+    def _fetch_anf_series(self):
         if self.node_range is None:
             return series_pairs(self.index.neighborhood_function())
         start, stop = self._range_bounds()
@@ -1270,204 +1514,6 @@ class AdsServer(ServerBase):
         start, stop = self._range_bounds()
         self.index.accumulate_neighborhood_jumps(jumps, start, stop)
         return {"jumps": [[d, jumps[d]] for d in sorted(jumps)]}
-
-    def _cardinality(self, params, body) -> Dict[str, Any]:
-        if body is not None:
-            d = _batch_float(body, "d", math.inf)
-            labels = resolve_nodes(self.index, body.get("nodes"))
-            values = self.index.nodes_cardinality_at(labels, d)
-            return {
-                "d": json_safe_number(d),
-                "results": [
-                    [label, value]
-                    for label, value in zip(labels, values)
-                ],
-            }
-        d = parse_float(params, "d", math.inf)
-        if "node" in params:
-            label = resolve_node(self.index, params["node"])
-            return {
-                "node": label,
-                "d": json_safe_number(d),
-                "value": self.index.node_cardinality_at(label, d),
-            }
-        if d == math.inf:
-            # Only the default all-reachable sweep is cached: d is a
-            # continuous parameter, so caching every distinct threshold
-            # would let a d-sweeping client pin cache-size O(n) result
-            # lists in RAM.  Arbitrary-d sweeps stay O(n log k) per
-            # request off the (once-materialised) prefix sums.
-            results, cached = self._cached(
-                ("/cardinality", d),
-                lambda: self._sweep_cardinality(d),
-            )
-        else:
-            results = self._sweep_cardinality(d)
-            cached = False
-        return {"d": json_safe_number(d), "results": results,
-                "cached": cached}
-
-    def _closeness(self, params, body) -> Dict[str, Any]:
-        if body is not None:
-            string_params = {
-                name: str(body[name])
-                for name in ("kind", "half_life") if name in body
-            }
-            kwargs = centrality_kwargs(string_params)
-            labels = resolve_nodes(self.index, body.get("nodes"))
-            return {
-                "kind": string_params.get("kind", "classic"),
-                "results": [
-                    [label,
-                     self.index.node_closeness_centrality(label, **kwargs)]
-                    for label in labels
-                ],
-            }
-        kwargs = centrality_kwargs(params)
-        if "node" in params:
-            label = resolve_node(self.index, params["node"])
-            return {
-                "node": label,
-                "kind": params.get("kind", "classic"),
-                "value": self.index.node_closeness_centrality(
-                    label, **kwargs
-                ),
-            }
-        results, cached = self._cached(
-            ("/closeness",) + self._centrality_key(params),
-            lambda: self._sweep_closeness(kwargs),
-        )
-        return {"kind": params.get("kind", "classic"), "results": results,
-                "cached": cached}
-
-    def _neighborhood(self, params, body) -> Dict[str, Any]:
-        if "node" in params:
-            label = resolve_node(self.index, params["node"])
-            return {
-                "node": label,
-                "series": series_pairs(
-                    self.index.node_neighborhood_function(label)
-                ),
-            }
-        series, cached = self._cached(
-            ("/neighborhood",),
-            self._sweep_neighborhood,
-        )
-        return {"series": series, "cached": cached}
-
-    def _top_central(self, params, body) -> Dict[str, Any]:
-        count = parse_int(params, "count", 10, minimum=1)
-        largest = parse_bool(params, "largest", True)
-        kwargs = centrality_kwargs(params)
-        results, cached = self._cached(
-            ("/top-central", count, largest) + self._centrality_key(params),
-            lambda: self._sweep_top_central(count, largest, kwargs),
-        )
-        return {
-            "kind": params.get("kind", "classic"),
-            "count": count,
-            "largest": largest,
-            "results": results,
-            "cached": cached,
-        }
-
-    # -- similarity / distance-oracle endpoints ------------------------
-    #
-    # Validation order is pinned for cluster parity: everything a
-    # router can check without an index (metric, pair shapes, d) is
-    # checked first, in the same order the router checks it; the
-    # flavor refusal comes last because only index-holding servers can
-    # raise it (the router surfaces a worker's 409 verbatim).
-    def _require_bottomk_index(self) -> None:
-        if self.index.flavor != "bottomk":
-            raise conflict(
-                "similarity queries need a bottom-k index; this "
-                f"server's index flavor is {self.index.flavor!r}"
-            )
-
-    def _similarity(self, params, body) -> Dict[str, Any]:
-        metric = parse_similarity_metric(body)
-        pairs = parse_pairs(self.index, body)
-        if metric == "jaccard":
-            d = _batch_float(body, "d", math.inf)
-            self._require_bottomk_index()
-            values = self.index.pairs_neighborhood_jaccard(pairs, d)
-            return {
-                "metric": metric,
-                "d": json_safe_number(d),
-                "results": [
-                    [u, v, value]
-                    for (u, v), value in zip(pairs, values)
-                ],
-            }
-        if "d" in body:
-            raise bad_request("d only applies to the jaccard metric")
-        self._require_bottomk_index()
-        values = self.index.pairs_closeness_similarity(pairs)
-        return {
-            "metric": metric,
-            "results": [
-                [u, v, value] for (u, v), value in zip(pairs, values)
-            ],
-        }
-
-    def _distance(self, params, body) -> Dict[str, Any]:
-        pairs = parse_pairs(self.index, body)
-        self._require_bottomk_index()
-        values = self.index.pairs_distance_estimate(pairs)
-        # Unreachable pairs estimate to inf, which JSON cannot carry:
-        # they come back as null.
-        return {
-            "results": [
-                [u, v, json_safe_number(value)]
-                for (u, v), value in zip(pairs, values)
-            ],
-        }
-
-    def _similar(self, raw: str, params) -> Dict[str, Any]:
-        if not raw:
-            raise bad_request("/similar/<label> requires a label")
-        count = parse_int(params, "count", 10, minimum=1)
-        d = parse_float(params, "d", math.inf)
-        label = resolve_node(self.index, raw)
-        self._require_bottomk_index()
-        start, stop = self._range_bounds()
-        results = self.index.most_similar(
-            label, count=count, d=d, start=start, stop=stop
-        )
-        return {
-            "node": label,
-            "count": count,
-            "d": json_safe_number(d),
-            "results": [[node, value] for node, value in results],
-        }
-
-    def _nf_curve(self, params, body) -> Dict[str, Any]:
-        # Shares the /neighborhood cache entry: the curve is a pure
-        # transform of the same swept series.
-        series, cached = self._cached(
-            ("/neighborhood",),
-            self._sweep_neighborhood,
-        )
-        points, total = nf_curve_points(series)
-        return {"points": points, "total_pairs": total, "cached": cached}
-
-    def _node_summary(self, raw: str) -> Dict[str, Any]:
-        if not raw:
-            raise bad_request("/node/<label> requires a label")
-        label = resolve_node(self.index, raw)
-        lo, hi = self.index._slice(label)
-        return {
-            "node": label,
-            "sketch_size": hi - lo,
-            "reachable": self.index.node_cardinality_at(label),
-            "closeness_classic": self.index.node_closeness_centrality(
-                label, classic=True
-            ),
-            "neighborhood": series_pairs(
-                self.index.node_neighborhood_function(label)
-            ),
-        }
 
 
 def _batch_float(body: Dict[str, Any], name: str, default: float) -> float:

@@ -1,12 +1,18 @@
 """Tests for the command-line interface."""
 
 
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graph import gnp_random_graph, write_edge_list
+from repro.graph import (
+    barabasi_albert_graph,
+    gnp_random_graph,
+    write_edge_list,
+)
 
 
 @pytest.fixture
@@ -579,3 +585,38 @@ class TestUpdateIndex:
         incremental = capsys.readouterr().out
         assert main(["query", rebuilt, "--cardinality", "2"]) == 0
         assert incremental == capsys.readouterr().out
+
+
+class TestClosedPipe:
+    """``repro ... | head``: the reader leaving is not an error."""
+
+    @pytest.mark.parametrize("nodes,read_first_line", [
+        # Far more output than a pipe holds: the writer is blocked
+        # mid-print when the reader closes.
+        (1500, True),
+        # Output that fits the stdout buffer: it only meets the closed
+        # pipe at the flush.
+        (5, False),
+    ])
+    def test_reader_closing_early_is_silent(
+        self, tmp_path, nodes, read_first_line
+    ):
+        graph_file = tmp_path / "graph.txt"
+        write_edge_list(barabasi_albert_graph(nodes, 2, seed=3), graph_file)
+        src = Path(__file__).resolve().parent.parent / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sketch", str(graph_file),
+             "--k", "4", "--int-nodes"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(src)},
+        )
+        if read_first_line:
+            assert process.stdout.readline().startswith(b"0\t")
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        for noise in ("Broken pipe", "Exception ignored", "Traceback"):
+            assert noise not in stderr, stderr
+        if read_first_line:
+            assert stderr == ""

@@ -22,9 +22,11 @@ from repro.ads import AdsIndex
 from repro.centrality.closeness import top_k_central_nodes
 from repro.errors import ReproError
 from repro.graph import barabasi_albert_graph
+from repro.graph.csr import CSRGraph
 from repro.serve import AdsServer, QueryClient, RouterServer
 from repro.serve.cluster import LabelDirectory, merge_top_central
 from repro.serve.schemas import centrality_kwargs
+from repro.serve.server import ServerBase
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,82 @@ class TestSingleNodeRouting:
                     assert client.cardinality(node=label, d=2.0)[
                         "value"
                     ] == index.node_cardinality_at(label, 2.0)
+
+
+class TestOneHandlerSet:
+    """Single server and router answer with the same handler code;
+    only the fetch behind a handler differs."""
+
+    @pytest.mark.parametrize("name", [
+        "_cardinality", "_closeness", "_neighborhood", "_nf_curve",
+        "_top_central", "_similarity", "_distance", "_similar",
+        "_node_summary",
+    ])
+    def test_read_handlers_are_inherited_not_overridden(self, name):
+        shared = getattr(ServerBase, name)
+        assert getattr(AdsServer, name) is shared
+        assert getattr(RouterServer, name) is shared
+
+
+class TestScatter:
+    def test_values_return_in_request_order(self, graph):
+        # The one scatter helper through both its callers: a node batch
+        # (owned label by label) and a pair batch (owned by first
+        # node), with duplicates, pairs straddling groups, and a group
+        # that receives nothing at all.
+        index = AdsIndex.build(graph, 8)
+        n = index.num_nodes
+        low, mid, high = 1, n // 2, n - 2  # one node per shard group
+        with start_cluster(index, workers=3, cache_size=0) as cluster:
+            router = cluster.router
+            owners = [router._owner_group(x) for x in (low, mid, high)]
+            assert len(set(owners)) == 3
+            asked = []
+            fan_out = router._fan_out
+
+            def spy(requests):
+                asked.append([request[0] for request in requests])
+                return fan_out(requests)
+
+            router._fan_out = spy
+
+            labels = [high, low, high, low + 1, high, low]
+            assert router._fetch_batch_cardinality(labels, 2.0) == \
+                index.nodes_cardinality_at(labels, 2.0)
+            # First-seen group order, and the middle group untouched.
+            assert asked.pop() == [owners[2], owners[0]]
+
+            pairs = [(high, low), (low, high), (high, mid), (low, low),
+                     (high, low)]
+            fields = {"metric": "jaccard", "d": 2.0}
+            assert router._fetch_pair_values(
+                "/similarity", pairs, fields
+            ) == index.pairs_neighborhood_jaccard(pairs, 2.0)
+            assert asked.pop() == [owners[2], owners[0]]
+            assert router._fetch_pair_values("/distance", pairs, {}) == \
+                index.pairs_distance_estimate(pairs)
+
+
+    def test_unreachable_distance_is_null_through_the_router(self):
+        # Workers answer null for an unreachable pair; the router hands
+        # the shared handler inf, as a local index would, and the
+        # handler writes the null -- same payload either way.
+        graph = CSRGraph.from_edges(
+            [(0, 1), (1, 2), (3, 4), (4, 5)], directed=False
+        )
+        index = AdsIndex.build(graph, 4)
+        body = json.dumps({"pairs": [[0, 4], [0, 2], [5, 1]]}).encode()
+        single = AdsServer(index)
+        try:
+            expected = single.handle_request("POST", "/distance", body)
+        finally:
+            single.close()
+        assert [row[2] is None for row in expected[1]["results"]] == \
+            [True, False, True]
+        with start_cluster(index, workers=2) as cluster:
+            assert cluster.router.handle_request(
+                "POST", "/distance", body
+            ) == expected
 
 
 class TestLabelDirectory:

@@ -574,6 +574,38 @@ class TestWorkerResolution:
         assert resolve(None, entries=entries, shards=3) == 3
         assert resolve(None, entries=entries, shards=16) == 8
 
+    def test_auto_never_fans_the_numpy_kernel(self, monkeypatch):
+        # Measured: NumPy over threads loses to NumPy serial, pure
+        # over processes wins -- so auto selects by the base kernel.
+        monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
+        entries = kernel_parallel.AUTO_MIN_ENTRIES * 4
+        resolve = kernel_parallel.resolve_workers
+        assert resolve(None, entries=entries, backend="numpy") == 1
+        assert resolve("auto", entries=entries, shards=4,
+                       backend="numpy") == 1
+        assert resolve(None, entries=entries, backend="python") == 8
+        # Asking outright still fans NumPy out, by count or by env.
+        assert resolve(4, entries=entries, backend="numpy") == 4
+        monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "3")
+        assert resolve(None, entries=entries, backend="numpy") == 3
+
+    @pytest.mark.parametrize("backend,expected", [
+        ("python", 8), pytest.param("numpy", 1, marks=requires_numpy),
+    ])
+    def test_index_wires_auto_by_its_backend(
+        self, monkeypatch, backend, expected
+    ):
+        monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(kernel_parallel, "AUTO_MIN_ENTRIES", 1)
+        index = AdsIndex.build(
+            _graph(False), 4, family=HashFamily(1), backend=backend,
+            kernel_workers=1,
+        )
+        index.set_kernel_workers("auto")
+        assert index.kernel_workers == expected
+
     def test_env_var_overrides_auto(self, monkeypatch):
         monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "3")
         # The env count bypasses the small-index crossover gate.

@@ -250,6 +250,10 @@ class TestExpectContinue:
         assert b"request body too large" in body
 
 
+#: A well-formed request placed after disputed bytes in a segment.
+_NEXT = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
 class TestParserRefusals:
     @pytest.mark.parametrize("request_bytes,expected_status,needle", [
         (b"GARBAGE\r\n\r\n", 400, b"malformed request line"),
@@ -264,6 +268,26 @@ class TestParserRefusals:
          b"invalid Content-Length"),
         (b"POST /update HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n",
          400, b"request body too large"),
+        # Framing a fronting proxy could read differently (RFC 9112
+        # 6.3).  Each row carries a well-formed GET after the bytes in
+        # dispute: the single response unpacked below is the proof
+        # that nothing after the refusal was parsed.
+        (b"POST /cardinality HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+         b"{\"nodes\":" + _NEXT, 400, b"invalid Content-Length"),
+        (b"POST /cardinality HTTP/1.1\r\nContent-Length: +10\r\n\r\n"
+         b"{\"nodes\":" + _NEXT, 400, b"invalid Content-Length"),
+        (b"POST /cardinality HTTP/1.1\r\nContent-Length: "
+         + b"9" * 5000 + b"\r\n\r\n" + _NEXT, 400,
+         b"invalid Content-Length"),
+        (b"POST /cardinality HTTP/1.1\r\nContent-Length: 3\r\n"
+         b"Content-Length: 5\r\n\r\nabcde" + _NEXT, 400,
+         b"conflicting Content-Length"),
+        (b"POST /cardinality HTTP/1.1\r\nContent-Length: 5\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\nabcde" + _NEXT, 501,
+         b"Transfer-Encoding is not supported"),
+        (b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"5\r\nhello\r\n0\r\n\r\n" + _NEXT, 501,
+         b"Transfer-Encoding is not supported"),
     ])
     def test_hostile_requests_get_explicit_errors(
         self, server, request_bytes, expected_status, needle
@@ -315,6 +339,18 @@ class TestParserRefusals:
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: 5\r\n\r\nxxxxx"
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        responses = split_responses(raw_exchange(server, request, expect=2))
+        assert [status for status, _ in responses] == [200, 200]
+
+    def test_padded_and_repeated_equal_content_length_accepted(
+        self, server
+    ):
+        # Optional whitespace around the value is legal, and a length
+        # said twice the same way is one framing, not two.
+        request = (
+            b"GET /healthz HTTP/1.1\r\nContent-Length:  5 \r\n"
+            b"Content-Length: 5\r\n\r\nxxxxx" + _NEXT
         )
         responses = split_responses(raw_exchange(server, request, expect=2))
         assert [status for status, _ in responses] == [200, 200]
