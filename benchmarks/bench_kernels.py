@@ -16,23 +16,15 @@ Headline metrics (tracked by the CI regression gate):
   harmonic-centrality sweep, the hottest pure-Python loop in the repo
   (one Python-level ``alpha`` call per entry; the NumPy kernel calls
   it once per distinct distance).
-* ``speedups.cardinality_batch_mmap`` -- the all-nodes n_d sweep on
-  the sharded layout, where the pure path pays a Python-level
-  ``ShardedColumn`` access per bisect probe.
 
-``cardinality_batch_eager`` is reported but not held to 10x: the pure
-path there is already a C-level ``bisect`` per node, so vectorising
-buys ~2-4x, not an order of magnitude -- the honest number is in the
-series.  ``REPRO_BENCH_NO_ASSERT=1`` opts out of the hard assertions
-on loaded or throttled machines.
-
-The ``parallel`` block is the worker-scaling series for the
-shard-parallel kernel tier (ISSUE 6): each batch kernel timed at
-1/2/4/max(cpu) workers per load mode, with speedup-vs-serial and
-parallel efficiency (speedup / workers).  Its tracked gate metric,
-``parallel.peak_speedup_vs_serial``, is only meaningful on multi-core
-runners -- ``check_regression.py`` skips it (with a notice) when the
-fresh series reports ``cpu_count == 1``.
+``cardinality_batch_eager`` / ``..._mmap`` are reported but not held
+to 10x: the pure path is a C-level ``bisect`` per node on either
+layout (its segment views took the Python-level ``ShardedColumn``
+access per probe out of the sharded sweep, which is what the 13-17x
+``cardinality_batch_mmap`` of the committed series measured), so
+vectorising buys ~2-4x, not an order of magnitude -- the honest number
+is in the series.  ``REPRO_BENCH_NO_ASSERT=1`` opts out of the hard
+assertions on loaded or throttled machines.
 """
 
 import json
@@ -54,8 +46,6 @@ K = 8
 SHARDS = 8
 FAMILY = HashFamily(2024)
 REPO_ROOT = Path(__file__).parent.parent
-# Worker-scaling series: 1 (serial reference), 2, 4, and every core.
-WORKER_SERIES = sorted({1, 2, 4, os.cpu_count() or 1})
 
 
 def _best_of(fn, rounds=3):
@@ -96,49 +86,6 @@ def _measure_mode(load):
     return mode
 
 
-def _measure_scaling(load, backend, metrics):
-    """Worker-scaling series for one load mode and backend.
-
-    ``load(backend, workers)`` must return a freshly loaded index.
-    Serial (workers=1) is the reference; fanned results are asserted
-    bit-identical to it before any timing counts.
-    """
-    alpha = harmonic_kernel()
-    runs = {
-        "cardinality_batch": lambda ix: ix.cardinality_at(2.0),
-        "closeness_batch": lambda ix: ix.closeness_centrality(alpha=alpha),
-        "neighborhood": lambda ix: ix.neighborhood_function(),
-        "cum_hip_recompute": lambda ix: ix._compute_cum_hip(),
-    }
-    serial_index = load(backend, 1)
-    fanned_index = load(backend, WORKER_SERIES[-1])
-    assert serial_index.cardinality_at(2.0) == \
-        fanned_index.cardinality_at(2.0)
-    series = {}
-    for metric in metrics:
-        run = runs[metric]
-        seconds = {}
-        for workers in WORKER_SERIES:
-            index = load(backend, workers)
-            seconds[str(workers)] = _best_of(lambda: run(index))
-        serial = seconds["1"]
-        series[metric] = {
-            "seconds": seconds,
-            "speedup_vs_serial": {
-                w: (serial / s if s > 0 else float("inf"))
-                for w, s in seconds.items()
-            },
-            "efficiency": {
-                w: (
-                    serial / (s * int(w)) if s > 0 else float("inf")
-                )
-                for w, s in seconds.items()
-                if int(w) > 1
-            },
-        }
-    return series
-
-
 def test_kernel_backends(benchmark, tmp_path):
     if not kernels.numpy_available():
         pytest.skip("NumPy not installed; nothing to compare against")
@@ -150,14 +97,12 @@ def test_kernel_backends(benchmark, tmp_path):
     built.save(single)
     built.save(sharded, shards=SHARDS)
 
-    def load_eager(backend, workers=1):
-        return AdsIndex.load(
-            single, backend=backend, kernel_workers=workers
-        )
+    def load_eager(backend):
+        return AdsIndex.load(single, backend=backend, kernel_workers=1)
 
-    def load_sharded(backend, workers=1):
+    def load_sharded(backend):
         return AdsIndex.load(
-            sharded, mmap=True, backend=backend, kernel_workers=workers
+            sharded, mmap=True, backend=backend, kernel_workers=1
         )
 
     def run():
@@ -168,32 +113,6 @@ def test_kernel_backends(benchmark, tmp_path):
 
     modes = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    batch_metrics = (
-        "cardinality_batch", "closeness_batch", "neighborhood",
-        "cum_hip_recompute",
-    )
-    parallel = {
-        "workers_series": WORKER_SERIES,
-        "cpu_count": os.cpu_count() or 1,
-        # The serving default: NumPy kernel, thread pool.
-        "eager_numpy": _measure_scaling(load_eager, "numpy", batch_metrics),
-        "mmap_sharded_numpy": _measure_scaling(
-            load_sharded, "numpy", batch_metrics
-        ),
-        # The pure kernel's process-pool path over re-mmapped shards
-        # (one metric keeps the pure sweep affordable at bench scale).
-        "mmap_sharded_python": _measure_scaling(
-            load_sharded, "python", ("closeness_batch",)
-        ),
-    }
-    parallel["peak_speedup_vs_serial"] = max(
-        speedup
-        for key in ("eager_numpy", "mmap_sharded_numpy",
-                    "mmap_sharded_python")
-        for metric_series in parallel[key].values()
-        for w, speedup in metric_series["speedup_vs_serial"].items()
-        if w != "1"
-    )
     import numpy
 
     series = {
@@ -207,7 +126,6 @@ def test_kernel_backends(benchmark, tmp_path):
         "cpu_count": os.cpu_count() or 1,
         "graph": f"barabasi_albert_graph({KERN_BENCH_N}, 3, seed=7)",
         "modes": modes,
-        "parallel": parallel,
         "speedups": {
             "cardinality_batch_eager":
                 modes["eager"]["cardinality_batch"]["speedup"],
@@ -222,11 +140,10 @@ def test_kernel_backends(benchmark, tmp_path):
         },
         "note": (
             "steady-state timings (warmed cum-hip/view caches, best of 3); "
-            "closeness_batch is the harmonic sweep; eager cardinality is "
-            "bisect-bound in C for the pure backend, so its speedup is "
-            "honest but modest -- the >=10x batch-query claims are "
-            "closeness (both modes) and cardinality on the sharded "
-            "serving layout"
+            "closeness_batch is the harmonic sweep; cardinality is "
+            "bisect-bound in C for the pure backend on both layouts, so "
+            "its speedup is honest but modest -- the >=10x batch-query "
+            "claim is closeness (both modes)"
         ),
     }
     payload = json.dumps(series, indent=2) + "\n"
@@ -237,11 +154,6 @@ def test_kernel_backends(benchmark, tmp_path):
         speedups = series["speedups"]
         assert speedups["closeness_batch_eager"] >= 10.0, speedups
         assert speedups["closeness_batch_mmap"] >= 10.0, speedups
-        assert speedups["cardinality_batch_mmap"] >= 10.0, speedups
+        assert speedups["cardinality_batch_mmap"] >= 1.2, speedups
         assert speedups["cardinality_batch_eager"] >= 1.2, speedups
         assert speedups["cum_hip_recompute_eager"] >= 3.0, speedups
-        if (os.cpu_count() or 1) >= 4:
-            # Fanning out must beat serial somewhere once there are
-            # real cores; single/dual-core boxes only report the
-            # series (the regression gate skips it at cpu_count==1).
-            assert parallel["peak_speedup_vs_serial"] >= 1.2, parallel

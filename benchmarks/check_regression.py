@@ -46,10 +46,6 @@ TRACKED = [
     # magnitude ahead of the pure loops (ISSUE 5 acceptance).
     ("BENCH_kernels.json", "speedups.closeness_batch_eager", "higher"),
     ("BENCH_kernels.json", "speedups.closeness_batch_mmap", "higher"),
-    ("BENCH_kernels.json", "speedups.cardinality_batch_mmap", "higher"),
-    # Shard-parallel kernel tier: fanned batch queries must keep
-    # beating serial (ISSUE 6 acceptance).
-    ("BENCH_kernels.json", "parallel.peak_speedup_vs_serial", "higher"),
     # The pipelined transport: a client that writes 64 requests per
     # segment over the same server's request-response rate
     # (pipelined_http / single_node_http).  A collapse toward 1 means
@@ -83,7 +79,6 @@ TRACKED = [
 # a single-core runner cannot show parallel speedup, and failing the
 # gate there would only punish the hardware, not the code.
 SKIP_ON_SINGLE_CPU = {
-    ("BENCH_kernels.json", "parallel.peak_speedup_vs_serial"),
     ("BENCH_cluster.json", "scaling.batch_speedup_2w_vs_1w"),
 }
 

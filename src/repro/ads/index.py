@@ -388,7 +388,7 @@ class AdsIndex:
         # reference loops, or the NumPy backend (bit-identical floats;
         # see repro.ads.kernels).  Resolved before validation -- the
         # eager cum-hip pass below already runs on it.  _wire_kernel
-        # below may wrap it in the partition-parallel dispatcher.
+        # below wraps it in the process fan-out on explicit request.
         self._kernel_base = kernels.resolve(backend)
         self._kernel = self._kernel_base
         self.backend = self._kernel_base.NAME
@@ -514,8 +514,9 @@ class AdsIndex:
     def _kernel_views(self):
         """The active kernel's prepared view of the entry columns.
 
-        Cached until a dynamic update splices the columns.  For the
-        pure kernel this is a free wrapper; the NumPy kernel builds
+        Cached until a dynamic update splices the columns.  The pure
+        kernel wraps flat columns for free and cuts sharded-mmap ones
+        into one zero-copy view per shard; the NumPy kernel builds
         zero-copy ``frombuffer`` views (assembling sharded-mmap columns
         once).  Unlocked: a racing first touch builds the same
         immutable views twice and one copy wins, which is benign.
@@ -550,26 +551,20 @@ class AdsIndex:
 
     def _wire_kernel(self, kernel_workers) -> None:
         """Resolve the effective kernel-worker count and (re)wrap the
-        base kernel in the partition-parallel dispatcher when > 1.
+        base kernel in the process fan-out dispatcher when > 1.
 
-        ``kernel_workers`` is ``"auto"``/``None`` (consult
-        ``REPRO_KERNEL_WORKERS``, then size to the hardware and layout;
-        serial below the measured crossover, and for the NumPy kernel,
-        which only loses by fanning out) or an explicit count,
-        which is always honoured.  Results are bit-identical at any
-        worker count; only the wall-clock changes.
+        ``kernel_workers`` is an explicit count, or ``"auto"``/``None``
+        for ``REPRO_KERNEL_WORKERS`` if set, else 1: the fan-out lost
+        every measurement against the serial kernels, so nothing but an
+        explicit request selects it
+        (:mod:`repro.ads.kernels.parallel`).  Results are bit-identical
+        at any worker count; only the wall-clock changes.
         """
-        workers = kernel_parallel.resolve_workers(
-            kernel_workers,
-            entries=len(self._hip),
-            shards=getattr(self._dist, "shard_count", None),
-            backend=self.backend,
-        )
+        workers = kernel_parallel.resolve_workers(kernel_workers)
         self.kernel_workers = workers
         if workers > 1:
             self._kernel = kernel_parallel.ParallelKernel(
-                self._kernel_base, workers,
-                kernel_parallel.resolve_pool(self.backend),
+                self._kernel_base, workers
             )
         else:
             self._kernel = self._kernel_base
@@ -652,10 +647,10 @@ class AdsIndex:
         batch queries with (:mod:`repro.ads.kernels`): ``"auto"``
         (NumPy when installed, honouring ``REPRO_BACKEND``),
         ``"numpy"``, or ``"python"``.  The sketch columns themselves
-        are backend-independent.  ``kernel_workers`` fans batch
-        queries out across that many cores (``"auto"``/``None`` sizes
-        to the hardware, honouring ``REPRO_KERNEL_WORKERS``; results
-        are bit-identical at any count).
+        are backend-independent.  An explicit ``kernel_workers`` count
+        fans batch queries out across that many worker processes
+        (``"auto"``/``None``: ``REPRO_KERNEL_WORKERS`` if set, else 1;
+        results are bit-identical at any count).
 
         Returns:
             The fully built index (every node, HIP column included).
@@ -714,7 +709,7 @@ class AdsIndex:
                 aux_column.extend([record[5] for record in records])
             # Section-5 adjusted weights, slice by slice: the one pass
             # apply_edges re-runs over the slices it rewrites.
-            hip_column.extend(kernel_parallel.slice_hip_weights(
+            hip_column.extend(kernels.slice_hip_weights(
                 kernels.pure, flavor, k, records,
                 cls._rank_vectors(flavor, rank_tables, records),
             ))
@@ -839,12 +834,16 @@ class AdsIndex:
             ``{label: estimated |N_d(label)|}`` for every indexed node,
             the node itself included.
 
+        Raises:
+            EstimatorError: if *d* is NaN.
+
         Example:
             >>> from repro.graph import path_graph
             >>> index = AdsIndex.build(path_graph(4).to_csr(), k=4)
             >>> index.cardinality_at(1.0)
             {0: 2.0, 1: 3.0, 2: 3.0, 3: 2.0}
         """
+        self._require_threshold(d)
         values = self._kernel.batch_cardinality(
             self._kernel_views(), self._cum_hip, d
         )
@@ -877,7 +876,8 @@ class AdsIndex:
             *label* -- same float as ``cardinality_at(d)[label]``.
 
         Raises:
-            EstimatorError: if *label* is not in the index.
+            EstimatorError: if *label* is not in the index, or *d* is
+                NaN.
 
         Example:
             >>> from repro.graph import path_graph
@@ -885,6 +885,7 @@ class AdsIndex:
             >>> index.node_cardinality_at(0, 1.0)
             2.0
         """
+        self._require_threshold(d)
         lo, hi = self._slice(label)
         cutoff = bisect_right(self._dist, d, lo, hi)
         return self._slice_hip_sum(lo, cutoff)
@@ -906,7 +907,8 @@ class AdsIndex:
             d: Distance threshold (default: all reachable nodes).
 
         Raises:
-            EstimatorError: if any label is not in the index.
+            EstimatorError: if any label is not in the index, or *d*
+                is NaN.
 
         Example:
             >>> from repro.graph import path_graph
@@ -914,6 +916,7 @@ class AdsIndex:
             >>> index.nodes_cardinality_at([0, 3], 1.0)
             [2.0, 2.0]
         """
+        self._require_threshold(d)
         dist = self._dist
         values: List[float] = []
         for label in labels:
@@ -1458,35 +1461,17 @@ class AdsIndex:
     def _dirty_slice_weights(
         self, dirty_records: Dict[int, List[Record]]
     ) -> Dict[int, List[float]]:
-        """HIP weights for every dirty slice, fanned out across kernel
-        workers when the active kernel is the parallel dispatcher (the
-        dominant cost of a splice for large batches); the serial
-        per-slice path otherwise -- same floats either way, and the
-        same :func:`~repro.ads.kernels.parallel.slice_hip_weights` pass
-        the build ran."""
+        """HIP weights for every dirty slice: the same
+        :func:`~repro.ads.kernels.slice_hip_weights` pass the build
+        ran, serially on the base kernel at any worker count (a few
+        milliseconds of a splice, and 3-4x that when fanned out)."""
         rank_tables = self._node_tables[1]
-        items = [
-            (
-                vid,
-                dirty_records[vid],
-                self._rank_vectors(
-                    self.flavor, rank_tables, dirty_records[vid]
-                ),
-            )
-            for vid in sorted(dirty_records)
-        ]
-        kernel = self._kernel
-        if isinstance(kernel, kernel_parallel.ParallelKernel):
-            weights_map = kernel.slice_weights_map(
-                self.flavor, self.k, items
-            )
-            if weights_map is not None:
-                return weights_map
         return {
-            vid: kernel_parallel.slice_hip_weights(
-                self._kernel_base, self.flavor, self.k, records, rank_vectors
+            vid: kernels.slice_hip_weights(
+                self._kernel_base, self.flavor, self.k, records,
+                self._rank_vectors(self.flavor, rank_tables, records),
             )
-            for vid, records, rank_vectors in items
+            for vid, records in dirty_records.items()
         }
 
     def apply_edges(self, graph, edges: Iterable[Tuple]) -> UpdateResult:
@@ -1619,8 +1604,6 @@ class AdsIndex:
         old_columns = self._columns()
         if self._cum_cache is not None:
             old_columns += (self._cum_cache,)
-        # All dirty slices' weights up front: one parallel fan-out over
-        # the slices instead of one serial recompute per splice step.
         dirty_weights = self._dirty_slice_weights(dirty_records)
         new_offsets = array(OFFSETS_TYPECODE, bytes(8 * (new_n + 1)))
         new_columns = [array(old.typecode) for old in old_columns]
@@ -2016,9 +1999,8 @@ class AdsIndex:
                 NumPy kernel assembles all shards on the first batch
                 query; single-node queries stay lazy.
             kernel_workers: Fan batch queries out across this many
-                cores (``"auto"``/``None`` sizes to the hardware and
-                layout, honouring ``REPRO_KERNEL_WORKERS``; sharded
-                mmap loads partition per shard, zero-copy).  Results
+                worker processes (``"auto"``/``None``:
+                ``REPRO_KERNEL_WORKERS`` if set, else 1).  Results
                 are bit-identical at any count.
             mmap: With the default ``False``, every column is copied
                 into process-owned ``array`` objects (byte order

@@ -43,21 +43,21 @@ module:
 ``AdsIndex(backend=...)``, the CLI ``--backend`` flag, and the serve
 daemon's ``/stats`` report make the choice observable end to end.
 
-**Parallel execution.**  :mod:`repro.ads.kernels.parallel` wraps either
-kernel in a partition-parallel dispatcher (``ParallelKernel``, wired by
-``AdsIndex._wire_kernel``): batch queries and the dynamic-update HIP
-recompute fan out across a thread or process pool over contiguous node
-ranges (one per shard for sharded mmap layouts, entry-balanced
-otherwise) and merge in fixed partition order, so results stay
-bit-identical at any worker count.  ``AdsIndex(kernel_workers=...)``,
-the ``REPRO_KERNEL_WORKERS`` env var, and the CLI ``--kernel-workers``
-flag select the worker count.
+**Parallel execution.**  :mod:`repro.ads.kernels.parallel` can wrap
+either kernel in a dispatcher (``ParallelKernel``) that fans the
+per-node batch sweeps out over a process pool and merges in node
+order, bit-identical at any worker count.  Nothing selects it: on
+every backend, layout and operation measured it ships more bytes
+than it computes on and loses to the serial kernel, so it runs only
+under an explicit ``AdsIndex(kernel_workers=...)``, ``--kernel-workers``
+or ``REPRO_KERNEL_WORKERS``.  The dynamic-update HIP recompute
+(:func:`slice_hip_weights`) is always serial.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ParameterError
 from repro.ads.kernels import pure
@@ -145,3 +145,49 @@ def resolve(backend: Optional[str] = None):
             "backend='auto' to fall back to the pure-Python kernel"
         )
     return kernel
+
+
+def slice_hip_weights(
+    kernel,
+    flavor: str,
+    k: int,
+    records: Sequence[tuple],
+    rank_vectors: Optional[Sequence[Sequence[float]]] = None,
+) -> List[float]:
+    """Section-5 adjusted weights of one node's slice, given as builder
+    records in scan order.
+
+    The one HIP pass: the index build runs it over every slice and
+    ``apply_edges`` over the rewritten ones, so a patched slice carries
+    the weights a from-scratch build would (the kernels' weight
+    functions are bit-identical).  *rank_vectors* holds each record's
+    node's rank under all k permutations and is consulted only for
+    k-mins, whose weights live on the merged first-occurrence view.
+    """
+    if not records:
+        return []
+    if flavor == "bottomk":
+        return kernel.bottom_k_hip_weights(
+            [record[3] for record in records], k
+        )
+    if flavor == "kpartition":
+        return kernel.k_partition_hip_weights(
+            [(record[4], record[3]) for record in records], k
+        )
+    # kmins: weights live on the merged first-occurrence view;
+    # duplicate per-permutation slots get weight 0.
+    seen = set()
+    merged_positions: List[int] = []
+    for position, record in enumerate(records):
+        entry_node = record[2]
+        if entry_node in seen:
+            continue
+        seen.add(entry_node)
+        merged_positions.append(position)
+    merged_weights = kernel.k_mins_hip_weights(
+        [rank_vectors[position] for position in merged_positions], k
+    )
+    weights = [0.0] * len(records)
+    for position, weight in zip(merged_positions, merged_weights):
+        weights[position] = weight
+    return weights

@@ -1,71 +1,50 @@
-"""Partition-parallel kernel execution over zero-copy column views.
+"""Explicit-only process fan-out of the per-node batch sweeps.
 
-The HIP batch queries are embarrassingly parallel across nodes: every
-per-node cardinality, closeness sum, and cum-hip prefix reads only that
-node's contiguous column slice.  :class:`ParallelKernel` exploits this
-by wrapping a base kernel module (:mod:`repro.ads.kernels.pure` or
-:mod:`repro.ads.kernels.np_kernel`) and fanning each batch query out
-over deterministic contiguous node-range partitions:
+The HIP batch queries are independent across nodes: every per-node
+cardinality, closeness sum and cum-hip prefix reads only that node's
+contiguous column slice.  :class:`ParallelKernel` wraps a base kernel
+module (:mod:`repro.ads.kernels.pure` or
+:mod:`repro.ads.kernels.np_kernel`) and runs ``compute_cum_hip`` /
+``batch_cardinality`` / ``batch_closeness`` over contiguous node-range
+partitions in a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-* **sharded mmap layouts** partition one range per nonempty shard --
-  each partition's column slices stay inside one shard, so
-  :class:`~repro.ads.mmap_io.ShardedColumn` serves them as zero-copy
-  ``memoryview`` slices of the mapped file;
+* **sharded mmap layouts** partition one range per nonempty shard
+  (:func:`repro.ads.kernels.pure.shard_node_ranges`, the very segments
+  the serial pure kernel walks); a worker receives a
+  ``(path, data_start, count)`` descriptor and maps the shard itself.
 * **eager and single-file-mmap layouts** partition into ``workers``
-  contiguous node ranges balanced by entry count (a pure function of
-  the offsets column, so partitioning is deterministic).
+  node ranges balanced by entry count and ship the column bytes, once
+  per views lifetime.
 
-Each partition is rebased into "a smaller index" (offsets shifted to 0)
-and fed to the base kernel's own ``prepare_views`` -- the per-partition
-arithmetic is *exactly* the serial kernel's arithmetic on the same
-slices.  Results merge by concatenation in fixed partition order, so
-every batch query returns bit-identical floats at any worker count:
+Each partition is a rebased mini-index fed to the base kernel's own
+``prepare_views``, so its arithmetic is the serial kernel's on the same
+slices, and results concatenate in node order: bit-identical floats at
+any worker count.  ``neighborhood_series`` folds HIP mass *across*
+nodes (partitioning would reorder IEEE additions) and always runs the
+serial base kernel.
 
-* ``compute_cum_hip`` / ``batch_cardinality`` / ``batch_closeness`` are
-  per-node independent; concatenating per-partition outputs in node
-  order *is* the serial output.
-* ``neighborhood_series`` folds HIP mass across nodes, so row
-  partitioning would reorder IEEE additions.  The NumPy thread path
-  instead parallelises over *distance groups* (each group's mass in
-  ``_group_sums`` is an independent sequential chain; concatenated
-  per-chunk masses equal the serial masses exactly, then one serial
-  ``np.cumsum`` finishes the series).  The pure kernel's dict fold
-  stays serial.
-* The per-slice HIP-weight recompute behind ``apply_edges``
-  (:func:`slice_hip_weights`) is per-slice independent and fans dirty
-  slices across workers (:meth:`ParallelKernel.slice_weights_map`).
+**Nothing selects this tier.**  A sweep is n jobs of a few
+microseconds each, so every fanned op moves more bytes than it
+computes on (``batch_cardinality`` pickles the whole cum-hip column
+across the process boundary for a scan the serial kernel finishes in
+milliseconds).  On 2 vCPUs at harness scale (640k entries) two worker
+processes take 1.6-1.9x the serial pure kernel's time on a sharded
+layout, 1.8x on flat layouts and 4x under NumPy; the one win once
+recorded for it was the serial kernel paying Python-level
+``ShardedColumn`` indexing, which the segment views removed (see
+ARCHITECTURE.md for the table).  ``resolve_workers`` therefore maps
+``"auto"`` / ``None`` to ``REPRO_KERNEL_WORKERS`` if set, else 1, on
+every backend, size and layout; only an explicit count engages the
+pool.  Hosts with >= 4 cores are unmeasured, which is why the tier
+still exists.
 
-**Pool choice.**  The NumPy kernel releases the GIL inside its hot ops,
-so it defaults to a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-(zero-copy views shared in-process).  The pure kernel is GIL-bound and
-defaults to a :class:`~concurrent.futures.ProcessPoolExecutor`; worker
-processes receive either the partition's column bytes (eager layouts)
-or a ``(path, data_start, count)`` shard descriptor they re-``mmap``
-themselves -- the page cache makes that a zero-copy handoff.
-``REPRO_KERNEL_POOL`` (``auto``/``thread``/``process``) overrides.
-
-**Worker selection.**  ``resolve_workers`` maps a request (``"auto"``
-or a positive int; ``None`` means auto) to an effective count.  Auto
-consults ``REPRO_KERNEL_WORKERS``, then picks
-``min(cpu_count, shard count)`` (or ``cpu_count`` for unsharded
-layouts) -- but stays serial below :data:`AUTO_MIN_ENTRIES` entries,
-where per-partition dispatch overhead (~0.1-1 ms between pool handoff
-and view rebasing) beats the win, and always for the NumPy kernel:
-its serial sweeps already run at array speed, and fanned over threads
-they measured slower than serial at every size tried (0.45-0.88x on
-one CPU in ``BENCH_kernels.json``, 0.5-0.92x on two at harness
-scale), where the pure kernel over processes gains 1.3-1.6x.  An explicit
-count is always honoured, any backend and small indexes included, so
-equivalence tests exercise the parallel paths.
-
-**Fallback.**  Pools are cached per ``(mode, workers)`` and shared
-process-wide.  A mode whose executor cannot be created (sandboxes
-without fork, interpreter teardown) is remembered as broken:
-``process`` degrades to ``thread``, ``thread`` degrades to the serial
-base kernel -- results are identical the whole way down, only the
-wall-clock changes.  Mid-call pool failures likewise fall back to the
-serial path; estimator errors raised *inside* workers (e.g. a negative
-alpha kernel) propagate unchanged.
+**Fallback.**  Pools are cached per worker count and shared
+process-wide.  If a pool cannot be created (sandboxes without fork,
+interpreter teardown) or breaks mid-call, that is remembered and every
+op runs the serial base kernel -- same floats, only the wall-clock
+changes.  A callable that cannot be pickled (a lambda ``alpha``) takes
+the serial path too; estimator errors raised *inside* workers (e.g. a
+negative alpha kernel) propagate unchanged.
 """
 
 from __future__ import annotations
@@ -77,8 +56,9 @@ import threading
 from array import array
 from bisect import bisect_left
 from concurrent.futures import BrokenExecutor
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ads import kernels as _kernels
 from repro.ads.kernels import pure
@@ -86,20 +66,10 @@ from repro.ads.mmap_io import ShardedColumn, map_file_columns
 from repro.errors import ParameterError, EstimatorError
 
 WORKERS_ENV_VAR = "REPRO_KERNEL_WORKERS"
-POOL_ENV_VAR = "REPRO_KERNEL_POOL"
-POOL_CHOICES = ("auto", "thread", "process")
-
-# Below this many entries auto worker selection stays serial: one
-# partition dispatch costs ~0.1-1 ms (submit + rebased offsets + view
-# prep) while the kernels sweep tens of millions of entries per second
-# per core, so the fan-out only pays for itself from roughly this size
-# (measured with benchmarks/bench_kernels.py; see BENCH_kernels.json's
-# worker series).  Explicit worker counts bypass the gate.
-AUTO_MIN_ENTRIES = 65536
 
 
 # ----------------------------------------------------------------------
-# Worker / pool resolution
+# Worker resolution
 # ----------------------------------------------------------------------
 def parse_workers(value: Union[None, int, str]) -> Union[str, int]:
     """Normalise a kernel-workers request to ``"auto"`` or an int >= 1.
@@ -134,24 +104,10 @@ def parse_workers(value: Union[None, int, str]) -> Union[str, int]:
     return value
 
 
-def resolve_workers(
-    requested: Union[None, int, str] = None,
-    *,
-    entries: int = 0,
-    shards: Optional[int] = None,
-    backend: str = "python",
-) -> int:
-    """The effective worker count for an index (see module docs).
-
-    Args:
-        requested: ``None``/``"auto"`` or an explicit count.  Auto
-            consults ``REPRO_KERNEL_WORKERS`` first.
-        entries: The index's entry-column length (the auto crossover
-            gate input).
-        shards: Shard count of a sharded-mmap layout, ``None``
-            otherwise (auto caps workers at the partition count).
-        backend: The base kernel's ``NAME``; auto never fans out the
-            NumPy kernel.
+def resolve_workers(requested: Union[None, int, str] = None) -> int:
+    """The effective worker count: an explicit *requested* count, else
+    (``None`` / ``"auto"``) ``REPRO_KERNEL_WORKERS`` if set, else 1
+    (see module docs).
 
     Raises:
         ParameterError: a malformed request or environment value.
@@ -159,105 +115,60 @@ def resolve_workers(
     workers = parse_workers(requested)
     if workers == "auto":
         env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env:
-            try:
-                workers = parse_workers(env)
-            except ParameterError:
-                raise ParameterError(
-                    f"invalid {WORKERS_ENV_VAR}={env!r}; expected 'auto' "
-                    "or a positive integer"
-                )
-    if workers != "auto":
-        return workers
-    cpus = os.cpu_count() or 1
-    if cpus <= 1 or entries < AUTO_MIN_ENTRIES or backend == "numpy":
-        return 1
-    if shards is not None:
-        return max(1, min(cpus, shards))
-    return cpus
-
-
-def resolve_pool(backend_name: str) -> str:
-    """``"thread"`` or ``"process"`` for a base kernel (module docs);
-    ``REPRO_KERNEL_POOL`` overrides the per-backend default.
-
-    Raises:
-        ParameterError: an unknown environment value.
-    """
-    env = os.environ.get(POOL_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in POOL_CHOICES:
+        try:
+            workers = parse_workers(env or None)
+        except ParameterError:
             raise ParameterError(
-                f"unknown {POOL_ENV_VAR}={env!r}; expected one of "
-                f"{list(POOL_CHOICES)}"
+                f"invalid {WORKERS_ENV_VAR}={env!r}; expected 'auto' "
+                "or a positive integer"
             )
-        if env != "auto":
-            return env
-    return "thread" if backend_name == "numpy" else "process"
+    return 1 if workers == "auto" else workers
 
 
 # ----------------------------------------------------------------------
-# Executor cache, broken-mode bookkeeping, serial fallback
+# Executor cache and serial fallback
 # ----------------------------------------------------------------------
-_EXECUTORS: Dict[Tuple[str, int], Any] = {}
+_EXECUTORS: Dict[int, Any] = {}
 _EXECUTOR_LOCK = threading.Lock()
-_BROKEN_MODES: set = set()
+_pool_broken = False
 
 
-def _create_executor(mode: str, workers: int):
-    """Build one executor (split out as the test seam for simulating
+def _create_executor(workers: int):
+    """Build one pool (split out as the test seam for simulating
     environments where pools cannot be created)."""
-    if mode == "process":
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(max_workers=workers)
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-kernel"
-    )
+    return ProcessPoolExecutor(max_workers=workers)
 
 
-def _executor(mode: str, workers: int):
-    """The cached ``(mode, executor)`` pair, walking the fallback chain
-    process -> thread -> serial; ``(None, None)`` means run serially."""
-    chain = ("process", "thread") if mode == "process" else ("thread",)
-    for candidate in chain:
-        if candidate in _BROKEN_MODES:
-            continue
-        key = (candidate, workers)
-        with _EXECUTOR_LOCK:
-            executor = _EXECUTORS.get(key)
-            if executor is None:
-                try:
-                    executor = _create_executor(candidate, workers)
-                except Exception:
-                    _BROKEN_MODES.add(candidate)
-                    continue
-                _EXECUTORS[key] = executor
-        return candidate, executor
-    return None, None
-
-
-def _mark_broken(mode: str) -> None:
+def _executor(workers: int):
+    """The cached pool of *workers* processes; ``None`` means run
+    serially (no pool can be created here, or one broke)."""
+    global _pool_broken
     with _EXECUTOR_LOCK:
-        _BROKEN_MODES.add(mode)
-        for key in [k for k in _EXECUTORS if k[0] == mode]:
+        if _pool_broken:
+            return None
+        executor = _EXECUTORS.get(workers)
+        if executor is None:
             try:
-                _EXECUTORS.pop(key).shutdown(wait=False)
+                executor = _create_executor(workers)
             except Exception:
-                pass
+                _pool_broken = True
+                return None
+            _EXECUTORS[workers] = executor
+        return executor
 
 
-def _reset_executors() -> None:
-    """Shut down and forget every cached pool (test hook; also runs at
-    interpreter exit so worker processes never outlive module
-    teardown)."""
+def _reset_executors(broken: bool = False) -> None:
+    """Shut down and forget every cached pool, remembering whether
+    pools are *broken* (test hook; also runs at interpreter exit so
+    worker processes never outlive module teardown)."""
+    global _pool_broken
     with _EXECUTOR_LOCK:
         for executor in _EXECUTORS.values():
             executor.shutdown(wait=False)
         _EXECUTORS.clear()
-        _BROKEN_MODES.clear()
+        _pool_broken = broken
 
 
 atexit.register(_reset_executors)
@@ -277,56 +188,14 @@ def _picklable(value: Any) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Partition planning and zero-copy column slicing
+# Partition planning and process payloads
 # ----------------------------------------------------------------------
-def _column_slice(column, lo: int, hi: int):
-    """Zero-copy ``column[lo:hi]``: ShardedColumn within-shard slices
-    and memoryviews slice natively; arrays go through one memoryview."""
-    if isinstance(column, (ShardedColumn, memoryview)):
-        return column[lo:hi]
-    return memoryview(column)[lo:hi]
-
-
-def _cum_slice(cum, lo: int, hi: int):
-    if cum is None:
-        return None
-    return _column_slice(cum, lo, hi)
-
-
-def _cum_bytes(cum, lo: int, hi: int) -> Optional[bytes]:
-    if cum is None:
-        return None
-    return bytes(_column_slice(cum, lo, hi))
-
-
-def _plan_partitions(offsets, workers: int, dist_column):
-    """Deterministic contiguous node-range partitions.
-
-    Returns ``[(a, b, spec), ...]`` of half-open node-id ranges.  For a
-    sharded column, one range per nonempty shard (``spec`` is its
-    :class:`~repro.ads.mmap_io.ShardSpec`; slices never cross a shard,
-    so every partition view is zero-copy); otherwise ``workers`` ranges
-    balanced by entry count with ``spec=None``.
-    """
+def _balanced_ranges(offsets, workers: int) -> List[Tuple[int, int, None]]:
+    """*workers* contiguous node ranges balanced by entry count (a pure
+    function of the offsets column, so partitioning is deterministic)."""
     n = len(offsets) - 1
     if n <= 0:
         return []
-    specs = getattr(dist_column, "shard_specs", None)
-    if specs:
-        partitions = []
-        a = 0
-        for spec in specs:
-            if spec.count == 0:
-                continue
-            stop = spec.entry_base + spec.count
-            b = bisect_left(offsets, stop, a, n)
-            partitions.append([a, b, spec])
-            a = b
-        if not partitions:
-            return [(0, n, None)]
-        # Trailing empty node slices belong to the last shard's range.
-        partitions[-1][1] = n
-        return [tuple(partition) for partition in partitions]
     total = offsets[n]
     bounds = [0]
     for i in range(1, workers):
@@ -338,42 +207,25 @@ def _plan_partitions(offsets, workers: int, dist_column):
     ]
 
 
-class _Partition:
-    """One rebased node range: a self-contained mini-index whose views
-    the base kernel prepares lazily (thread workers prepare their own,
-    process workers never touch these)."""
+def _sliceable(column):
+    """*column* with zero-copy slices: sharded columns and memoryviews
+    slice natively; arrays go through one memoryview."""
+    if isinstance(column, (ShardedColumn, memoryview)):
+        return column
+    return memoryview(column)
 
-    __slots__ = (
-        "a", "b", "lo", "hi", "spec", "offsets", "dist", "hip",
-        "_kernel", "_views",
-    )
 
-    def __init__(self, kernel, a, b, lo, hi, spec, offsets, dist, hip):
-        self._kernel = kernel
-        self.a = a
-        self.b = b
-        self.lo = lo
-        self.hi = hi
-        self.spec = spec
-        self.offsets = offsets
-        self.dist = dist
-        self.hip = hip
-        self._views = None
-
-    def prepared(self):
-        views = self._views
-        if views is None:
-            views = self._kernel.prepare_views(
-                self.offsets, self.dist, self.hip
-            )
-            self._views = views
-        return views
+def _window_bytes(part: pure.Segment, cum) -> Optional[bytes]:
+    """The partition's share of the cum-hip column, for pickling."""
+    window = part.window(cum)
+    return None if window is None else bytes(window)
 
 
 class ParallelViews:
     """The parallel kernel's prepared-views object: the partition plan
-    plus lazily built per-partition views, process payloads, and the
-    base kernel's whole-column views (serial paths and fallbacks).
+    (``[(a, b, shard spec or None), ...]`` node ranges), the lazily
+    built per-partition process payloads, and the base kernel's
+    whole-column views (serial ops and fallbacks).
 
     ``AdsIndex`` caches and invalidates it exactly like any other
     kernel views object, so everything derived here shares the columns'
@@ -382,13 +234,13 @@ class ParallelViews:
 
     def __init__(self, kernel, workers, offsets, dist, hip):
         self._kernel = kernel
-        self._offsets = offsets
-        self._dist = dist
-        self._hip = hip
-        self.plan = _plan_partitions(offsets, workers, dist)
+        self._columns = (offsets, dist, hip)
+        self.plan = (
+            pure.shard_node_ranges(offsets, dist)
+            or _balanced_ranges(offsets, workers)
+        )
         self._base = None
-        self._parts = None
-        self._payloads = None
+        self._payloads: Optional[List[Tuple[pure.Segment, tuple]]] = None
         self._lock = threading.Lock()
 
     def base(self):
@@ -399,62 +251,43 @@ class ParallelViews:
             with self._lock:
                 views = self._base
                 if views is None:
-                    views = self._kernel.prepare_views(
-                        self._offsets, self._dist, self._hip
-                    )
+                    views = self._kernel.prepare_views(*self._columns)
                     self._base = views
         return views
 
-    def parts(self) -> List[_Partition]:
-        parts = self._parts
-        if parts is None:
-            with self._lock:
-                parts = self._parts
-                if parts is None:
-                    parts = [
-                        self._build_part(a, b, spec)
-                        for a, b, spec in self.plan
-                    ]
-                    self._parts = parts
-        return parts
-
-    def _build_part(self, a: int, b: int, spec) -> _Partition:
-        offsets = self._offsets
-        lo, hi = offsets[a], offsets[b]
-        rebased = array("q", (offsets[i] - lo for i in range(a, b + 1)))
-        return _Partition(
-            self._kernel, a, b, lo, hi, spec, rebased,
-            _column_slice(self._dist, lo, hi),
-            _column_slice(self._hip, lo, hi),
-        )
-
-    def payloads(self) -> List[tuple]:
-        """Per-partition process-pool payloads, cached: shard partitions
-        ship a re-mmap descriptor (zero-copy via the page cache), eager
-        partitions ship the column bytes once per views lifetime."""
+    def payloads(self) -> List[Tuple[pure.Segment, tuple]]:
+        """``(segment, payload)`` per partition, cached: a shard
+        partition ships a re-mmap descriptor (zero-copy via the page
+        cache), any other its column bytes."""
         payloads = self._payloads
         if payloads is None:
-            parts = self.parts()
             with self._lock:
                 payloads = self._payloads
                 if payloads is None:
-                    payloads = [self._build_payload(p) for p in parts]
+                    offsets, dist, hip = self._columns
+                    dist, hip = _sliceable(dist), _sliceable(hip)
+                    payloads = []
+                    for a, b, spec in self.plan:
+                        part = pure.segment(offsets, dist, hip, a, b)
+                        payloads.append(
+                            (part, self._build_payload(part, spec, dist, hip))
+                        )
                     self._payloads = payloads
         return payloads
 
-    def _build_payload(self, part: _Partition) -> tuple:
+    @staticmethod
+    def _build_payload(part: pure.Segment, spec, dist, hip) -> tuple:
         offsets_bytes = part.offsets.tobytes()
-        if part.spec is not None:
-            # The file's column layout travels with the descriptor, so
-            # the worker re-maps without knowing the index format.
-            typecodes, dist_position = self._dist.remap
+        if spec is None:
             return (
-                "shard", offsets_bytes, str(part.spec.path),
-                part.spec.data_start, part.spec.count,
-                (typecodes, dist_position, self._hip.remap[1]),
+                "buffer", offsets_bytes, bytes(part.dist), bytes(part.hip),
             )
+        # The file's column layout travels with the descriptor, so
+        # the worker re-maps without knowing the index format.
+        typecodes, dist_position = dist.remap
         return (
-            "buffer", offsets_bytes, bytes(part.dist), bytes(part.hip),
+            "shard", offsets_bytes, str(spec.path), spec.data_start,
+            spec.count, (typecodes, dist_position, hip.remap[1]),
         )
 
 
@@ -517,196 +350,74 @@ def _partition_task(payload: tuple, backend_name: str, op: str,
     raise ParameterError(f"unknown partition op {op!r}")
 
 
-def _weights_chunk(kernel, flavor: str, k: int,
-                   chunk: Sequence[tuple]) -> Dict[int, List[float]]:
-    """HIP weights for one chunk of ``(vid, records, rank_vectors)``."""
-    return {
-        vid: slice_hip_weights(kernel, flavor, k, records, rank_vectors)
-        for vid, records, rank_vectors in chunk
-    }
-
-
-def _weights_chunk_task(backend_name: str, flavor: str, k: int,
-                        chunk: Sequence[tuple]):
-    """Process-pool form of :func:`_weights_chunk`."""
-    return _weights_chunk(_worker_kernel(backend_name), flavor, k, chunk)
-
-
-# ----------------------------------------------------------------------
-# The per-slice HIP-weight recompute (shared by serial and parallel)
-# ----------------------------------------------------------------------
-def slice_hip_weights(
-    kernel,
-    flavor: str,
-    k: int,
-    records: Sequence[tuple],
-    rank_vectors: Optional[Sequence[Sequence[float]]] = None,
-) -> List[float]:
-    """Section-5 adjusted weights of one node's slice, given as builder
-    records in scan order.
-
-    The one HIP pass: the index build runs it over every slice and
-    ``apply_edges`` over the rewritten ones, so a patched slice carries
-    the weights a from-scratch build would (the kernels' weight
-    functions are bit-identical).  *rank_vectors* holds each record's
-    node's rank under all k permutations and is consulted only for
-    k-mins, whose weights live on the merged first-occurrence view.
-    """
-    if not records:
-        return []
-    if flavor == "bottomk":
-        return kernel.bottom_k_hip_weights(
-            [record[3] for record in records], k
-        )
-    if flavor == "kpartition":
-        return kernel.k_partition_hip_weights(
-            [(record[4], record[3]) for record in records], k
-        )
-    # kmins: weights live on the merged first-occurrence view;
-    # duplicate per-permutation slots get weight 0.
-    seen = set()
-    merged_positions: List[int] = []
-    for position, record in enumerate(records):
-        entry_node = record[2]
-        if entry_node in seen:
-            continue
-        seen.add(entry_node)
-        merged_positions.append(position)
-    merged_weights = kernel.k_mins_hip_weights(
-        [rank_vectors[position] for position in merged_positions], k
-    )
-    weights = [0.0] * len(records)
-    for position, weight in zip(merged_positions, merged_weights):
-        weights[position] = weight
-    return weights
-
-
-def _chunk_items(items: Sequence, chunks: int) -> List[Sequence]:
-    """Split *items* into at most *chunks* contiguous runs."""
-    count = len(items)
-    chunks = max(1, min(chunks, count))
-    bounds = [(count * i) // chunks for i in range(chunks + 1)]
-    return [
-        items[a:b] for a, b in zip(bounds, bounds[1:]) if b > a
-    ]
-
-
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
 class ParallelKernel:
-    """Partition-parallel facade over one base kernel module.
+    """Process fan-out facade over one base kernel module.
 
     Duck-types the kernel API (``NAME``, ``prepare_views``, the batch
     ops), so :class:`~repro.ads.index.AdsIndex`
     holds it exactly like a kernel module.  Every op merges partition
-    results in fixed partition order and falls back to the serial base
-    kernel whenever pools are unavailable -- the floats never change,
-    only the wall-clock.
+    results in node order and falls back to the serial base kernel
+    whenever pools are unavailable -- the floats never change, only
+    the wall-clock.
     """
 
-    def __init__(self, base, workers: int, pool: str):
+    def __init__(self, base, workers: int):
         self._base = base
         self.NAME = base.NAME
         self.workers = int(workers)
-        self.pool = pool
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelKernel(base={self.NAME!r}, workers={self.workers}, "
-            f"pool={self.pool!r})"
-        )
+        return f"ParallelKernel(base={self.NAME!r}, workers={self.workers})"
 
-    # -- views ----------------------------------------------------------
     def prepare_views(self, offsets, dist, hip) -> ParallelViews:
         return ParallelViews(self._base, self.workers, offsets, dist, hip)
 
-    # -- plumbing -------------------------------------------------------
-    def _acquire(self, views: ParallelViews):
-        """``(mode, executor, parts)`` when fan-out is worthwhile and a
-        pool exists; ``None`` routes the caller to the serial base."""
+    def _fan(self, views: ParallelViews, op: str, cum=None,
+             **params) -> Optional[list]:
+        """Run *op* over every partition in the pool, each with its
+        window of the *cum* column; the results in node order, or
+        ``None`` when the caller must run the serial base kernel (one
+        partition, no pool, or a pool -- not estimator -- failure)."""
         if self.workers <= 1 or len(views.plan) <= 1:
             return None
-        mode, executor = _executor(self.pool, self.workers)
+        executor = _executor(self.workers)
         if executor is None:
             return None
-        return mode, executor, views.parts()
-
-    @staticmethod
-    def _gather(futures, mode: str):
-        """Results in submission order; ``None`` requests the serial
-        fallback after a pool (not estimator) failure."""
         try:
+            futures = [
+                executor.submit(
+                    _partition_task, payload, self.NAME, op,
+                    dict(params, cum=_window_bytes(part, cum)),
+                )
+                for part, payload in views.payloads()
+            ]
             return [future.result() for future in futures]
         except (EstimatorError, ParameterError):
             raise
         except pickle.PicklingError:
             return None
         except (BrokenExecutor, OSError):
-            _mark_broken(mode)
+            _reset_executors(broken=True)
             return None
 
-    # -- batch ops ------------------------------------------------------
     def compute_cum_hip(self, views: ParallelViews) -> array:
-        plan = self._acquire(views)
-        if plan is None:
-            return self._base.compute_cum_hip(views.base())
-        mode, executor, parts = plan
-        if mode == "process":
-            futures = [
-                executor.submit(
-                    _partition_task, payload, self.NAME, "cum_hip", {}
-                )
-                for payload in views.payloads()
-            ]
-        else:
-            base = self._base
-
-            def run(part):
-                return base.compute_cum_hip(part.prepared())
-
-            futures = [executor.submit(run, part) for part in parts]
-        pieces = self._gather(futures, mode)
+        pieces = self._fan(views, "cum_hip")
         if pieces is None:
             return self._base.compute_cum_hip(views.base())
         cumulative = array("d")
         for piece in pieces:
-            if isinstance(piece, bytes):
-                cumulative.frombytes(piece)
-            else:
-                cumulative.extend(piece)
+            cumulative.frombytes(piece)
         return cumulative
 
     def batch_cardinality(self, views: ParallelViews, cum,
                           d: float) -> List[float]:
-        plan = self._acquire(views)
-        if plan is None:
-            return self._base.batch_cardinality(views.base(), cum, d)
-        mode, executor, parts = plan
-        if mode == "process":
-            futures = [
-                executor.submit(
-                    _partition_task, payload, self.NAME, "cardinality",
-                    {"cum": _cum_bytes(cum, part.lo, part.hi), "d": d},
-                )
-                for payload, part in zip(views.payloads(), parts)
-            ]
-        else:
-            base = self._base
-
-            def run(part):
-                return base.batch_cardinality(
-                    part.prepared(), _cum_slice(cum, part.lo, part.hi), d
-                )
-
-            futures = [executor.submit(run, part) for part in parts]
-        pieces = self._gather(futures, mode)
+        pieces = self._fan(views, "cardinality", cum, d=d)
         if pieces is None:
             return self._base.batch_cardinality(views.base(), cum, d)
-        merged: List[float] = []
-        for piece in pieces:
-            merged.extend(piece)
-        return merged
+        return list(chain.from_iterable(pieces))
 
     def batch_closeness(
         self,
@@ -715,143 +426,19 @@ class ParallelKernel:
         classic: bool,
         cum=None,
     ) -> List[float]:
-        plan = self._acquire(views)
-        if plan is None:
-            return self._base.batch_closeness(
-                views.base(), alpha, classic, cum=cum
+        pieces = None
+        if _picklable(alpha):
+            pieces = self._fan(
+                views, "closeness", cum, alpha=alpha, classic=classic
             )
-        mode, executor, parts = plan
-        if mode == "process":
-            if not _picklable(alpha):
-                return self._base.batch_closeness(
-                    views.base(), alpha, classic, cum=cum
-                )
-            futures = [
-                executor.submit(
-                    _partition_task, payload, self.NAME, "closeness",
-                    {
-                        "alpha": alpha,
-                        "classic": classic,
-                        "cum": _cum_bytes(cum, part.lo, part.hi),
-                    },
-                )
-                for payload, part in zip(views.payloads(), parts)
-            ]
-        else:
-            base = self._base
-
-            def run(part):
-                return base.batch_closeness(
-                    part.prepared(), alpha, classic,
-                    _cum_slice(cum, part.lo, part.hi),
-                )
-
-            futures = [executor.submit(run, part) for part in parts]
-        pieces = self._gather(futures, mode)
         if pieces is None:
             return self._base.batch_closeness(
                 views.base(), alpha, classic, cum=cum
             )
-        merged: List[float] = []
-        for piece in pieces:
-            merged.extend(piece)
-        return merged
+        return list(chain.from_iterable(pieces))
 
     def neighborhood_series(
         self, views: ParallelViews
     ) -> List[Tuple[float, float]]:
-        """Cross-node fold: parallel only on the NumPy thread path,
-        chunked by *distance group* so the floats stay bit-identical
-        (see module docs); everything else runs the serial base."""
-        if (
-            self.workers > 1
-            and self.NAME == "numpy"
-            and self.pool != "process"
-        ):
-            series = self._neighborhood_grouped(views)
-            if series is not None:
-                return series
+        """A cross-node fold: always the serial base (module docs)."""
         return self._base.neighborhood_series(views.base())
-
-    def _neighborhood_grouped(self, views: ParallelViews):
-        np_mod = self._base
-        np = np_mod.np
-        base_views = views.base()
-        sorted_dist, sorted_hip = base_views.dist_sorted()
-        if not len(sorted_dist):
-            return []
-        boundaries = np.empty(len(sorted_dist), dtype=bool)
-        boundaries[0] = True
-        np.not_equal(
-            sorted_dist[1:], sorted_dist[:-1], out=boundaries[1:]
-        )
-        group_starts = np.flatnonzero(boundaries)
-        group_lengths = np.diff(
-            np.concatenate((group_starts, [len(sorted_dist)]))
-        )
-        groups = len(group_starts)
-        if groups < 2:
-            return None
-        mode, executor = _executor("thread", self.workers)
-        if executor is None:
-            return None
-        chunks = min(self.workers, groups)
-        bounds = [(groups * i) // chunks for i in range(chunks + 1)]
-        futures = [
-            executor.submit(
-                np_mod._group_sums, sorted_hip,
-                group_starts[a:b], group_lengths[a:b],
-            )
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
-        pieces = self._gather(futures, mode)
-        if pieces is None:
-            return None
-        running = np.cumsum(np.concatenate(pieces))
-        return list(
-            zip(sorted_dist[group_starts].tolist(), running.tolist())
-        )
-
-    # -- per-slice HIP weights (dynamic updates) ------------------------
-    def slice_weights_map(
-        self,
-        flavor: str,
-        k: int,
-        items: Sequence[tuple],
-    ) -> Optional[Dict[int, List[float]]]:
-        """HIP weights for many dirty slices at once.
-
-        *items* is an ordered ``(vid, records, rank_vectors)`` sequence
-        (see :func:`slice_hip_weights`); chunks fan out across the
-        pool and merge into ``{vid: weights}``.  Returns ``None`` when
-        fan-out is not worthwhile or no pool is available -- the caller
-        runs the serial per-slice path, same floats.
-        """
-        if self.workers <= 1 or len(items) < 2:
-            return None
-        mode, executor = _executor(self.pool, self.workers)
-        if executor is None:
-            return None
-        if mode == "process" and not _picklable(items):
-            return None
-        chunks = _chunk_items(items, self.workers)
-        if mode == "process":
-            futures = [
-                executor.submit(
-                    _weights_chunk_task, self.NAME, flavor, k, chunk
-                )
-                for chunk in chunks
-            ]
-        else:
-            futures = [
-                executor.submit(_weights_chunk, self._base, flavor, k, chunk)
-                for chunk in chunks
-            ]
-        pieces = self._gather(futures, mode)
-        if pieces is None:
-            return None
-        merged: Dict[int, List[float]] = {}
-        for piece in pieces:
-            merged.update(piece)
-        return merged

@@ -197,11 +197,6 @@ class ShardedColumn:
         return self._maps.mapped_shards
 
     @property
-    def shard_count(self) -> int:
-        """How many shards back this column (parallel kernel sizing)."""
-        return len(self._maps.specs)
-
-    @property
     def remap(self) -> Tuple[Tuple[str, ...], int]:
         """``(file typecodes, this column's position)``: with a
         :class:`ShardSpec`'s coordinates, all a worker process needs to
@@ -212,9 +207,9 @@ class ShardedColumn:
     def shard_specs(self) -> tuple:
         """The backing :class:`ShardSpec` objects in global entry order.
 
-        The parallel kernel's partition planner cuts node ranges at
-        these shards' entry bases (within-shard slices stay zero-copy)
-        and hands worker processes the ``(path, data_start, count)``
+        The pure kernel cuts its per-shard segments at these shards'
+        entry bases (within-shard slices stay zero-copy), and the
+        process fan-out hands workers the ``(path, data_start, count)``
         coordinates to re-map shards themselves.
         """
         return tuple(self._maps.specs)

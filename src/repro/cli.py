@@ -64,23 +64,16 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_AUTO_KERNEL_WORKERS = (
-    "auto, which honours the REPRO_KERNEL_WORKERS env var, then sizes "
-    "to the machine and shard layout, staying serial for small indexes "
-    "and for the numpy kernel"
-)
-
-
-def _add_kernel_workers_arg(
-    parser: argparse.ArgumentParser, default: str = _AUTO_KERNEL_WORKERS
-) -> None:
+def _add_kernel_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel-workers",
         default=None,
         metavar="W",
-        help="fan batch queries (and update HIP recomputes) out across "
-        f"W cores ('auto' or a positive integer; default: {default}). "
-        "Results are bit-identical at any worker count.",
+        help="fan batch queries out across W worker processes ('auto' "
+        "or a positive integer; default: auto, which is the "
+        "REPRO_KERNEL_WORKERS env var if set, else 1 -- the serial "
+        "kernels won every measurement). Results are bit-identical at "
+        "any worker count.",
     )
 
 
@@ -144,10 +137,9 @@ def cmd_sketch(args) -> int:
         if args.out:
             out.close()
     sizes = [len(ads) for ads in ads_set.values()]
-    print(
-        f"# {len(ads_set)} sketches, mean size {sum(sizes) / len(sizes):.1f}",
-        file=sys.stderr,
-    )
+    # An edge list with no edges has no nodes, hence no mean size.
+    mean = f", mean size {sum(sizes) / len(sizes):.1f}" if sizes else ""
+    print(f"# {len(ads_set)} sketches{mean}", file=sys.stderr)
     return 0
 
 
@@ -655,12 +647,8 @@ def cmd_serve(args) -> int:
     reference.  ``--graph GRAPH.txt`` (with ``--no-mmap``) attaches the
     index's graph and enables live edge updates via ``POST /update`` /
     ``POST /compact``.  Requests are answered inline on one pipelined
-    event loop, so kernels are wired with ``--kernel-workers`` if
-    given, else ``REPRO_KERNEL_WORKERS``, else 1 -- not the
-    hardware-sized ``auto`` the offline commands use: fanned kernel
-    threads would contend with the loop for the interpreter.
-    ``--wire json`` pins responses to JSON even for clients that ask
-    for the binary codec.
+    event loop.  ``--wire json`` pins responses to JSON even for
+    clients that ask for the binary codec.
 
     Returns:
         0 after a clean shutdown (Ctrl-C), 1 when the index cannot be
@@ -671,7 +659,6 @@ def cmd_serve(args) -> int:
         >>> main(["serve", "--index", "/nonexistent.adsidx"])
         1
     """
-    from repro.ads.kernels.parallel import WORKERS_ENV_VAR
     from repro.serve import AdsServer
 
     if args.cache_size < 0:
@@ -700,15 +687,10 @@ def cmd_serve(args) -> int:
         # exit 2 is reserved for invalid flag values.
         print(f"index {args.index!r} does not exist", file=sys.stderr)
         return 1
-    kernel_workers = args.kernel_workers
-    if kernel_workers is None and not os.environ.get(
-        WORKERS_ENV_VAR, ""
-    ).strip():
-        kernel_workers = 1
     try:
         index = AdsIndex.load(
             index_path, mmap=args.mmap, backend=args.backend,
-            kernel_workers=kernel_workers,
+            kernel_workers=args.kernel_workers,
         )
         graph = None
         if args.graph is not None:
@@ -1238,11 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph, truncated on /compact)",
     )
     _add_backend_arg(p)
-    _add_kernel_workers_arg(
-        p, default="the REPRO_KERNEL_WORKERS env var if set, else 1: "
-        "requests are answered on one event loop, which fanned kernel "
-        "threads would contend with",
-    )
+    _add_kernel_workers_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -84,6 +84,16 @@ class TestSketch:
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 50
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n# and another\n"])
+    def test_edge_list_with_no_edges(self, tmp_path, capsys, text):
+        # centrality, build-index and query exit 0 on this input too.
+        path = tmp_path / "no-edges.txt"
+        path.write_text(text)
+        assert main(["sketch", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "# 0 sketches\n"
+
 
 class TestCentrality:
     @pytest.mark.parametrize("kind", ["classic", "harmonic", "decay", "distsum"])
@@ -173,6 +183,16 @@ class TestIndexWorkflow:
         assert main(["query", index_file, "--cardinality", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 50
+
+    @pytest.mark.parametrize("node", [(), ("--node", "5")])
+    def test_query_cardinality_nan_is_refused(self, index_file, capsys, node):
+        # A bisect reads NaN as inf and ``dist <= nan`` as nothing, so
+        # the two kernels used to print different answers.
+        assert main(["query", index_file, "--cardinality", "nan", *node]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d must not be NaN" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_query_graph_neighborhood(self, index_file, capsys):
         assert main(["query", index_file, "--neighborhood"]) == 0

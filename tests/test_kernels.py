@@ -17,6 +17,7 @@ suite passes identically on a pure-Python deployment.
 import math
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -24,6 +25,7 @@ import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.kernels import pure
+from repro.ads.mmap_io import ShardedColumn
 from repro.errors import EstimatorError, ParameterError
 from repro.estimators.statistics import (
     exponential_decay_kernel,
@@ -156,8 +158,10 @@ class TestBatchVsNodeQueries:
             index.closeness_centrality(alpha=lambda d: -1.0)
 
 
-def _apply_case(flavor, weighted, backend, kernel_workers=None, seed=17):
-    """Build a small index, apply a random edge batch, return both."""
+def _apply_case(flavor, weighted, backend, kernel_workers=None, seed=17,
+                before_apply=None):
+    """Build a small index, apply a random edge batch, return both
+    (*before_apply* runs between the build and the batch)."""
     rng = random.Random(seed)
     n = 12
 
@@ -185,6 +189,8 @@ def _apply_case(flavor, weighted, backend, kernel_workers=None, seed=17):
         kernel_workers=kernel_workers,
     )
     index.cardinality_at(1.0)  # materialise the prefix cache
+    if before_apply is not None:
+        before_apply()
     index.apply_edges(graph, batch)
     return graph, index
 
@@ -438,10 +444,111 @@ class TestServeAndCliSurface:
         assert outputs["python"] == outputs["numpy"]
 
 
+BACKENDS = ("python", pytest.param("numpy", marks=requires_numpy))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNanThreshold:
+    """``nan < x`` is false for every x, so a bisect reads NaN as
+    ``inf`` where ``dist <= nan`` reads it as nothing: the kernels
+    would disagree, so the index refuses it on both."""
+
+    CALLS = (
+        lambda index, d: index.cardinality_at(d),
+        lambda index, d: index.node_cardinality_at(0, d),
+        lambda index, d: index.nodes_cardinality_at([0, 1], d),
+    )
+
+    def test_cardinality_methods_refuse_nan(self, backend):
+        from repro.graph import path_graph
+
+        index = AdsIndex.build(path_graph(6).to_csr(), 4, backend=backend)
+        reference = AdsIndex.build(
+            path_graph(6).to_csr(), 4, backend="python"
+        )
+        for call in self.CALLS:
+            with pytest.raises(EstimatorError, match="NaN"):
+                call(index, math.nan)
+            for d in (math.inf, 0, 0.0, -1.0, 2):
+                assert call(index, d) == call(reference, d)
+        assert index.node_cardinality_at(0, -1.0) == 0.0
+        assert index.node_cardinality_at(0, 0) == 1.0
+
+
+def _padded_layouts(flavor, tmp_path):
+    """One sketch set plus 18 trailing nodes with empty slices, saved
+    single-file and over 6 shards of 11 nodes: shard 4 ends in empty
+    node slices and shard 5 is empty.  Both mapped, serial kernels."""
+    built = AdsIndex.build(
+        _graph(False), 4, family=HashFamily(99), flavor=flavor,
+        backend="python",
+    )
+    n = built.num_nodes
+    assert built.nodes() == list(range(n)) and n == 48
+    padded = AdsIndex(
+        flavor, 4, 99, list(range(n + 18)),
+        array("q", list(built._offsets) + [built.num_entries] * 18),
+        built._dist, built._hip, built._node, built._aux, backend="python",
+    )
+    padded.save(tmp_path / "padded.adsidx")
+    padded.save(tmp_path / "padded-sharded", shards=6)
+    return tuple(
+        AdsIndex.load(
+            tmp_path / name, mmap=True, backend="python", kernel_workers=1
+        )
+        for name in ("padded.adsidx", "padded-sharded")
+    )
+
+
+def _sweep_script(index):
+    return (
+        bytes(index._compute_cum_hip()),
+        [index.cardinality_at(d) for d in (0.0, 1.0, 2.5, math.inf)],
+        index.closeness_centrality(classic=True),
+        index.closeness_centrality(),
+        index.closeness_centrality(alpha=harmonic_kernel()),
+        index.neighborhood_function(),
+    )
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+class TestSegmentViews:
+    """The serial pure kernel does not care how the index is stored:
+    its sweeps walk one flat buffer per shard, never the
+    ``ShardedColumn`` (a Python-level shard lookup per probe)."""
+
+    def test_sweeps_never_index_the_sharded_column(
+        self, flavor, tmp_path, monkeypatch
+    ):
+        single, sharded = _padded_layouts(flavor, tmp_path)
+        assert isinstance(sharded._dist, ShardedColumn)
+        specs = sharded._dist.shard_specs
+        assert len(specs) == 6 and specs[-1].count == 0
+        calls = {"int": 0, "slice": 0}
+        original = ShardedColumn.__getitem__
+
+        def counting(self, item):
+            calls["slice" if isinstance(item, slice) else "int"] += 1
+            return original(self, item)
+
+        monkeypatch.setattr(ShardedColumn, "__getitem__", counting)
+        answers = _sweep_script(sharded)
+        monkeypatch.undo()
+        # Two slices (dist, hip) per nonempty shard, once per views
+        # lifetime; the parent made ~6 integer calls per node per
+        # cardinality sweep.
+        assert calls == {"int": 0, "slice": 2 * 5}
+        segments = sharded._kernel_views().segments
+        assert len(segments) == 5
+        assert all(type(part.dist) is memoryview for part in segments)
+        # Trailing empty node slices ride in the last nonempty shard.
+        assert sum(len(part.offsets) - 1 for part in segments) == 66
+        assert answers == _sweep_script(single)
+
+
 # ----------------------------------------------------------------------
 # Parallel kernel tier (repro.ads.kernels.parallel)
 # ----------------------------------------------------------------------
-BACKENDS = ("python", pytest.param("numpy", marks=requires_numpy))
 WORKER_COUNTS = (2, 4)
 
 
@@ -542,6 +649,37 @@ class TestParallelDynamicUpdates:
             assert index_format.columns(serial) == \
                 index_format.columns(fanned), workers
 
+    def test_dirty_slice_recompute_never_reaches_a_pool(
+        self, flavor, backend, monkeypatch
+    ):
+        # The recompute is 2-3 ms of a batch serially and 3-4x that
+        # fanned out, so apply_edges runs it on the base kernel.  A
+        # raising _create_executor would be swallowed by the serial
+        # fallback; record the calls instead.
+        created = []
+
+        def record(*args):
+            created.append(args)
+            raise OSError("recorded")
+
+        def forget_pools_and_record():
+            kernel_parallel._reset_executors()
+            monkeypatch.setattr(kernel_parallel, "_create_executor", record)
+
+        _, serial = _apply_case(flavor, True, backend, kernel_workers=1)
+        try:
+            _, fanned = _apply_case(
+                flavor, True, backend, kernel_workers=2,
+                before_apply=forget_pools_and_record,
+            )
+        finally:
+            monkeypatch.undo()
+            kernel_parallel._reset_executors()
+        assert isinstance(fanned._kernel, kernel_parallel.ParallelKernel)
+        assert created == []
+        assert bytes(fanned._cum_cache) == bytes(serial._cum_cache)
+        assert index_format.columns(serial) == index_format.columns(fanned)
+
 
 class TestWorkerResolution:
     def test_parse_workers_accepts_auto_and_counts(self):
@@ -558,81 +696,87 @@ class TestWorkerResolution:
 
     def test_explicit_count_honoured_on_tiny_index(self, monkeypatch):
         monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
-        assert kernel_parallel.resolve_workers(4, entries=10) == 4
+        assert kernel_parallel.resolve_workers(4) == 4
+        index = AdsIndex.build(
+            _graph(False), 4, family=HashFamily(1), kernel_workers=4
+        )
+        assert index.kernel_workers == 4
 
-    def test_auto_stays_serial_below_crossover(self, monkeypatch):
-        monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
-        entries = kernel_parallel.AUTO_MIN_ENTRIES - 1
-        assert kernel_parallel.resolve_workers(None, entries=entries) == 1
+    def test_auto_is_serial_at_any_size(self, monkeypatch, tmp_path):
+        # Nothing selects the fan-out: not the core count, not the
+        # entry count (the parent's gate opened at 65 536), not shards.
+        from repro.graph import barabasi_albert_graph
 
-    def test_auto_scales_to_cores_and_shards(self, monkeypatch):
         monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
-        entries = kernel_parallel.AUTO_MIN_ENTRIES
-        resolve = kernel_parallel.resolve_workers
-        assert resolve(None, entries=entries) == 8
-        assert resolve(None, entries=entries, shards=3) == 3
-        assert resolve(None, entries=entries, shards=16) == 8
+        assert kernel_parallel.resolve_workers(None) == 1
+        assert kernel_parallel.resolve_workers("auto") == 1
+        built = AdsIndex.build(
+            barabasi_albert_graph(1500, 3, seed=1).to_csr(), 8,
+            backend="python",
+        )
+        assert built.num_entries > 65536 and built.kernel_workers == 1
+        built.save(tmp_path / "big", shards=4)
+        for workers in (None, "auto"):
+            index = AdsIndex.load(
+                tmp_path / "big", mmap=True, backend="python",
+                kernel_workers=workers,
+            )
+            assert index.kernel_workers == 1
+            assert index._kernel is index._kernel_base
 
     def test_auto_never_fans_the_numpy_kernel(self, monkeypatch):
-        # Measured: NumPy over threads loses to NumPy serial, pure
-        # over processes wins -- so auto selects by the base kernel.
+        # Measured: on every layout each kernel's serial sweep beats
+        # its fan-out, so auto is 1 for both.
         monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
-        entries = kernel_parallel.AUTO_MIN_ENTRIES * 4
-        resolve = kernel_parallel.resolve_workers
-        assert resolve(None, entries=entries, backend="numpy") == 1
-        assert resolve("auto", entries=entries, shards=4,
-                       backend="numpy") == 1
-        assert resolve(None, entries=entries, backend="python") == 8
-        # Asking outright still fans NumPy out, by count or by env.
-        assert resolve(4, entries=entries, backend="numpy") == 4
-        monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "3")
-        assert resolve(None, entries=entries, backend="numpy") == 3
+        for backend in kernels.available_backends():
+            index = AdsIndex.build(
+                _graph(False), 4, family=HashFamily(1), backend=backend
+            )
+            assert index.kernel_workers == 1, backend
+            assert index._kernel is index._kernel_base
+            # Asking outright still fans it out, by count or by env.
+            index.set_kernel_workers(4)
+            assert index.kernel_workers == 4, backend
+            monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "3")
+            index.set_kernel_workers(None)
+            assert index.kernel_workers == 3, backend
+            monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR)
 
-    @pytest.mark.parametrize("backend,expected", [
+    @pytest.mark.parametrize("backend,cores", [
         ("python", 8), pytest.param("numpy", 1, marks=requires_numpy),
     ])
     def test_index_wires_auto_by_its_backend(
-        self, monkeypatch, backend, expected
+        self, monkeypatch, backend, cores
     ):
+        # Either backend, however many cores the host reports: 1.
         monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
-        monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(kernel_parallel, "AUTO_MIN_ENTRIES", 1)
+        monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: cores)
         index = AdsIndex.build(
             _graph(False), 4, family=HashFamily(1), backend=backend,
-            kernel_workers=1,
+            kernel_workers=2,
         )
         index.set_kernel_workers("auto")
-        assert index.kernel_workers == expected
+        assert index.kernel_workers == 1
+        assert index._kernel is index._kernel_base
 
     def test_env_var_overrides_auto(self, monkeypatch):
         monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "3")
-        # The env count bypasses the small-index crossover gate.
-        assert kernel_parallel.resolve_workers(None, entries=10) == 3
+        assert kernel_parallel.resolve_workers(None) == 3
+        assert kernel_parallel.resolve_workers("auto") == 3
         # ... but an explicit request still beats the environment.
-        assert kernel_parallel.resolve_workers(2, entries=10) == 2
+        assert kernel_parallel.resolve_workers(2) == 2
+        # The variable may itself say auto, which is still 1.
+        monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "auto")
+        assert kernel_parallel.resolve_workers(None) == 1
 
     def test_invalid_env_var_names_itself(self, monkeypatch):
         monkeypatch.setenv(kernel_parallel.WORKERS_ENV_VAR, "banana")
         with pytest.raises(
             ParameterError, match=kernel_parallel.WORKERS_ENV_VAR
         ):
-            kernel_parallel.resolve_workers(None, entries=10)
-
-    def test_invalid_pool_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel_parallel.POOL_ENV_VAR, "fibers")
-        with pytest.raises(
-            ParameterError, match=kernel_parallel.POOL_ENV_VAR
-        ):
-            kernel_parallel.resolve_pool("python")
-
-    def test_pool_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernel_parallel.POOL_ENV_VAR, "thread")
-        assert kernel_parallel.resolve_pool("python") == "thread"
-        monkeypatch.delenv(kernel_parallel.POOL_ENV_VAR)
-        assert kernel_parallel.resolve_pool("python") == "process"
-        assert kernel_parallel.resolve_pool("numpy") == "thread"
+            kernel_parallel.resolve_workers(None)
 
     def test_build_validates_kernel_workers(self):
         with pytest.raises(ParameterError, match="kernel workers"):
@@ -676,7 +820,7 @@ class TestParallelFallback:
     def broken_pools(self, monkeypatch):
         kernel_parallel._reset_executors()
 
-        def refuse(mode, workers):
+        def refuse(workers):
             raise OSError("pools unavailable in this environment")
 
         monkeypatch.setattr(kernel_parallel, "_create_executor", refuse)
