@@ -56,11 +56,6 @@ TRACKED = [
     # not collapse relative to 1 (ISSUE 8 acceptance; real subprocess
     # workers, so the ratio needs real cores).
     ("BENCH_cluster.json", "scaling.batch_speedup_2w_vs_1w", "higher"),
-    # Similarity tier: numpy-vs-pure pair-query ratios sit near parity
-    # by construction (tiny per-pair slices); tracked as collapse
-    # guards for either backend's pair path (ISSUE 9 acceptance).
-    ("BENCH_similarity.json", "speedups.distance_pairs", "higher"),
-    ("BENCH_similarity.json", "speedups.jaccard_pairs", "higher"),
     # Closeness similarity: the one-pass merge sweep over the
     # per-object reference on a weighted graph.  Linear vs quadratic
     # in the slice lengths, so a collapse toward 1 means the

@@ -27,12 +27,16 @@ Queries: :meth:`cardinality_at` (all nodes at once),
 :meth:`neighborhood_function` (whole-graph ANF series),
 :meth:`closeness_centrality` / :meth:`top_central` (Equation 2 for every
 node), all bit-identical to the per-node ``BaseADS`` estimators.
-Batch queries and the cum-hip materialisation run on a pluggable
-estimator kernel (:mod:`repro.ads.kernels`): the stdlib reference
-loops, or a NumPy backend that vectorises the same arithmetic over
-zero-copy views of these columns -- selected per index
+Those whole-graph sweeps and the cum-hip materialisation run on a
+pluggable estimator kernel (:mod:`repro.ads.kernels`): the stdlib
+reference loops, or a NumPy backend that vectorises the same
+arithmetic over zero-copy views of these columns -- selected per index
 (``backend="auto"|"numpy"|"python"``, ``REPRO_BACKEND`` env override)
-and bit-identical across backends by construction.
+and bit-identical across backends by construction.  Everything that
+reads *one node's* slice (point and batch reads, the pair queries,
+``index[node]``, update records) reads it one way on any storage and
+backend: ``locate`` on the pure kernel's segments
+(:class:`repro.ads.kernels.pure.Columns`).
 :meth:`save` / :meth:`load` persist the columns as raw little/big-endian
 array bytes behind a checksummed JSON header (format ``ADSIDX02``;
 ``ADSIDX01`` files are still read and converted), so an index built on
@@ -279,6 +283,13 @@ def _buffer(column, lo: int = 0, hi: Optional[int] = None):
     return column[lo:hi]
 
 
+class _LabelIds(dict):
+    """label -> node id; an unknown label is the query error itself."""
+
+    def __missing__(self, label):
+        raise EstimatorError(f"node {label!r} is not in the index")
+
+
 def _parse_manifest(manifest_path: Path) -> dict:
     """Read and structurally validate a sharded-layout manifest.
 
@@ -392,15 +403,13 @@ class AdsIndex:
         self._kernel_base = kernels.resolve(backend)
         self._kernel = self._kernel_base
         self.backend = self._kernel_base.NAME
-        self._views_cache: Optional[Any] = None
-        self._sim_views_cache: Optional[Any] = None
         self.flavor = flavor
         self.k = int(k)
         self.seed = int(seed)
         self.family = HashFamily(seed)
         self.rank_sup = float(rank_sup)
         self._labels = list(labels)
-        self._ids = {label: i for i, label in enumerate(self._labels)}
+        self._ids = _LabelIds(zip(self._labels, range(len(self._labels))))
         self._offsets = offsets
         self._dist = dist_column
         self._hip = hip_column
@@ -409,6 +418,7 @@ class AdsIndex:
         # (tiebreaks, [ranks per permutation]) per node id; None until
         # a reader of ranks or tiebreaks first needs it.
         self._tables_cache: Optional[Tuple[array, List[array]]] = None
+        self._wrap_columns()
         self._wire_kernel(kernel_workers)
         # Validate the layout before walking it (a corrupted file must
         # fail with EstimatorError, not an IndexError mid-computation).
@@ -475,7 +485,7 @@ class AdsIndex:
         A build hands its own over; a loaded index derives them from
         ``HashFamily(seed)`` on first need, under the lock that guards
         the cum-hip pass.  Only rank / tiebreak readers come here
-        (similarity views, update records, legacy materialisation).
+        (similarity ops, update records, legacy materialisation).
         """
         tables = self._tables_cache
         if tables is None:
@@ -488,65 +498,55 @@ class AdsIndex:
                     self._tables_cache = tables
         return tables
 
-    def _entry_nodes(self, lo: int, hi: int):
-        """``node[lo:hi]``, range-checked: a mapped load never scanned
-        the column, and an unchecked id would name the wrong label."""
-        nodes = self._node[lo:hi]
+    def _wrap_columns(self) -> None:
+        """(Re)wrap the current columns in the pure kernel's segments,
+        the one way queries read them on any storage and backend (maps
+        and copies nothing); drops the sweep views over the old ones."""
+        self._views_cache: Optional[Any] = None
+        self._segments = kernels.pure.prepare_views(
+            self._offsets, self._dist, self._hip, self._node, self._aux
+        )
+
+    def _entry_nodes(self, part, lo: int, hi: int):
+        """``part.node[lo:hi]``, range-checked: a mapped load never
+        scanned the column, and an unchecked id would name the wrong
+        label."""
+        nodes = part.node[lo:hi]
         if len(nodes) and max(nodes) >= len(self._labels):
-            raise kernels.pure.bad_node_id(nodes, lo, len(self._labels))
+            raise kernels.pure.bad_node_id(
+                nodes, part.base + lo, len(self._labels)
+            )
         return nodes
 
-    def _slice_ranks(self, lo: int, hi: int) -> Tuple[Any, List[float]]:
-        """``(nodes, ranks)`` of the entries in slots ``[lo, hi)``, the
-        ranks gathered from the per-node tables (per permutation for
-        k-mins)."""
+    def _slice_ranks(self, part, lo: int, hi: int) -> Tuple[Any, List[float]]:
+        """``(nodes, ranks)`` of the entries in slots ``[lo, hi)`` of
+        segment *part*, the ranks gathered from the per-node tables
+        (per permutation for k-mins)."""
         ranks = self._node_tables[1]
-        nodes = self._entry_nodes(lo, hi)
+        nodes = self._entry_nodes(part, lo, hi)
         if self.flavor != "kmins":
             return nodes, list(map(ranks[0].__getitem__, nodes))
         try:
             return nodes, [
-                ranks[h][v] for v, h in zip(nodes, self._aux[lo:hi])
+                ranks[h][v] for v, h in zip(nodes, part.aux[lo:hi])
             ]
         except IndexError:
             raise EstimatorError("corrupt index: aux value outside [0, k)")
 
     def _kernel_views(self):
-        """The active kernel's prepared view of the entry columns.
-
-        Cached until a dynamic update splices the columns.  The pure
-        kernel wraps flat columns for free and cuts sharded-mmap ones
-        into one zero-copy view per shard; the NumPy kernel builds
-        zero-copy ``frombuffer`` views (assembling sharded-mmap columns
-        once).  Unlocked: a racing first touch builds the same
-        immutable views twice and one copy wins, which is benign.
-        """
+        """The active kernel's prepared view for the whole-graph
+        sweeps.  The pure kernel sweeps the segments the per-node reads
+        go through, so a pure index holds one prepared view; the NumPy
+        kernel builds zero-copy ``frombuffer`` views of the sweep
+        columns (assembling sharded-mmap ones once), cached here."""
+        if self._kernel is kernels.pure:
+            return self._segments
         views = self._views_cache
         if views is None:
             views = self._kernel.prepare_views(
                 self._offsets, self._dist, self._hip
             )
             self._views_cache = views
-        return views
-
-    def _similarity_views(self):
-        """The base kernel's prepared view of the similarity columns
-        (entry nodes, distances) plus the per-node rank table the ops
-        gather from, slice by slice.
-
-        Similarity ops are per-pair / per-candidate work dispatched
-        serially on the base kernel -- the partition-parallel wrapper
-        never sees them, so results are trivially worker-count
-        independent.  Cached until a dynamic update splices the
-        columns (same benign-race rules as :meth:`_kernel_views`).
-        """
-        views = self._sim_views_cache
-        if views is None:
-            views = self._kernel_base.prepare_similarity_views(
-                self._offsets, self._node, self._dist,
-                self._node_tables[1][0],
-            )
-            self._sim_views_cache = views
         return views
 
     def _wire_kernel(self, kernel_workers) -> None:
@@ -569,7 +569,6 @@ class AdsIndex:
         else:
             self._kernel = self._kernel_base
         self._views_cache = None
-        self._sim_views_cache = None
 
     def set_kernel_workers(self, kernel_workers) -> None:
         """Re-wire the kernel worker count on a live index.
@@ -813,7 +812,8 @@ class AdsIndex:
         )
 
     def _slice(self, label: Hashable) -> Tuple[int, int]:
-        i = self._id_of(label)
+        # Offsets only: the serving layer's sketch size.
+        i = self._ids[label]
         return self._offsets[i], self._offsets[i + 1]
 
     # ------------------------------------------------------------------
@@ -886,9 +886,11 @@ class AdsIndex:
             2.0
         """
         self._require_threshold(d)
-        lo, hi = self._slice(label)
-        cutoff = bisect_right(self._dist, d, lo, hi)
-        return self._slice_hip_sum(lo, cutoff)
+        part, lo, hi = self._segments.locate(self._ids[label])
+        cutoff = bisect_right(part.dist, d, lo, hi)
+        return kernels.pure.slice_hip_sum(
+            part.hip, self._cum_cache, lo, cutoff, part.base
+        )
 
     def nodes_cardinality_at(
         self, labels: Sequence[Hashable], d: float = math.inf
@@ -917,22 +919,16 @@ class AdsIndex:
             [2.0, 2.0]
         """
         self._require_threshold(d)
-        dist = self._dist
+        locate = self._segments.locate
+        slice_hip_sum = kernels.pure.slice_hip_sum
         values: List[float] = []
         for label in labels:
-            lo, hi = self._slice(label)
-            cutoff = bisect_right(dist, d, lo, hi)
-            values.append(self._slice_hip_sum(lo, cutoff))
+            part, lo, hi = locate(self._ids[label])
+            cutoff = bisect_right(part.dist, d, lo, hi)
+            values.append(slice_hip_sum(
+                part.hip, self._cum_cache, lo, cutoff, part.base
+            ))
         return values
-
-    def _slice_hip_sum(self, lo: int, hi: int) -> float:
-        """Left-to-right sum of ``hip[lo:hi]`` -- ``cum_hip[hi - 1]`` by
-        construction, summed locally when the prefix column has not been
-        materialised (a lazy load serving one node must not pay an
-        all-entries pass)."""
-        return kernels.pure.slice_hip_sum(
-            self._hip, self._cum_cache, lo, hi
-        )
 
     def neighborhood_function(self) -> List[Tuple[float, float]]:
         """Whole-graph neighborhood function (the ANF statistic).
@@ -993,11 +989,11 @@ class AdsIndex:
             0 <= start <= stop <= n,
             f"node range [{start}, {stop}) must lie within [0, {n})",
         )
-        lo, hi = self._offsets[start], self._offsets[stop]
-        for d, weight in zip(self._dist[lo:hi], self._hip[lo:hi]):
-            if d <= 0.0:
-                continue
-            jumps[d] = jumps.get(d, 0.0) + weight
+        for part, lo, hi in self._segments.locate_range(start, stop):
+            for d, weight in zip(part.dist[lo:hi], part.hip[lo:hi]):
+                if d <= 0.0:
+                    continue
+                jumps[d] = jumps.get(d, 0.0) + weight
         return jumps
 
     def node_neighborhood_function(
@@ -1021,10 +1017,10 @@ class AdsIndex:
             >>> index.node_neighborhood_function(0)
             [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]
         """
-        lo, hi = self._slice(label)
+        part, lo, hi = self._segments.locate(self._ids[label])
         series: List[Tuple[float, float]] = []
         running = 0.0
-        for d, weight in zip(self._dist[lo:hi], self._hip[lo:hi]):
+        for d, weight in zip(part.dist[lo:hi], part.hip[lo:hi]):
             running += weight
             if series and series[-1][0] == d:
                 series[-1] = (d, running)
@@ -1072,10 +1068,10 @@ class AdsIndex:
             # A node filter consumes entry labels through a Python
             # callable; that stays on the per-slice reference loop
             # whatever the kernel backend.
-            offsets = self._offsets
+            locate = self._segments.locate
             return {
                 label: self._closeness_for_slice(
-                    offsets[i], offsets[i + 1], alpha, beta, classic
+                    *locate(i), alpha, beta, classic
                 )
                 for i, label in enumerate(self._labels)
             }
@@ -1086,6 +1082,7 @@ class AdsIndex:
 
     def _closeness_for_slice(
         self,
+        part,
         lo: int,
         hi: int,
         alpha: Optional[Callable[[float], float]],
@@ -1097,16 +1094,17 @@ class AdsIndex:
             # the per-entry interner lookups otherwise.
             label_of = self._labels.__getitem__
             entry_labels = [label_of(node_id) for node_id in
-                            self._entry_nodes(lo, hi)]
+                            self._entry_nodes(part, lo, hi)]
             return closeness_centrality_estimate(
-                entry_labels, self._dist[lo:hi], self._hip[lo:hi],
+                entry_labels, part.dist[lo:hi], part.hip[lo:hi],
                 alpha=alpha, beta=beta,
             )
         # beta-free sum: the reference slice loop (single-node queries
         # are O(sketch size); the batch sweep above vectorises the same
         # arithmetic and returns the same floats).
         return kernels.pure.closeness_for_slice(
-            self._dist, self._hip, lo, hi, alpha, classic, self._cum_cache
+            part.dist, part.hip, lo, hi, alpha, classic,
+            part.window(self._cum_cache),
         )
 
     def node_closeness_centrality(
@@ -1140,8 +1138,9 @@ class AdsIndex:
             raise EstimatorError(
                 "classic=True computes (n-1)/sum(d); alpha/beta do not apply"
             )
-        lo, hi = self._slice(label)
-        return self._closeness_for_slice(lo, hi, alpha, beta, classic)
+        return self._closeness_for_slice(
+            *self._segments.locate(self._ids[label]), alpha, beta, classic
+        )
 
     def top_central(
         self,
@@ -1185,12 +1184,6 @@ class AdsIndex:
     # ------------------------------------------------------------------
     # Similarity and distance-oracle queries (bottom-k flavor)
     # ------------------------------------------------------------------
-    def _id_of(self, label: Hashable) -> int:
-        try:
-            return self._ids[label]
-        except KeyError:
-            raise EstimatorError(f"node {label!r} is not in the index")
-
     def _require_bottomk(self) -> None:
         if self.flavor != "bottomk":
             raise EstimatorError(
@@ -1211,7 +1204,7 @@ class AdsIndex:
                     f"pairs[{position}] must be a (u, v) pair of node "
                     f"labels, got {pair!r}"
                 ) from None
-            resolved.append((self._id_of(u), self._id_of(v)))
+            resolved.append((self._ids[u], self._ids[v]))
         return resolved
 
     @staticmethod
@@ -1246,8 +1239,8 @@ class AdsIndex:
             [3.0, 0.0]
         """
         self._require_bottomk()
-        return self._kernel_base.pairs_distance(
-            self._similarity_views(), self._pair_ids(pairs)
+        return kernels.pure.pairs_distance(
+            self._segments, self._pair_ids(pairs)
         )
 
     def pairs_neighborhood_jaccard(
@@ -1276,8 +1269,9 @@ class AdsIndex:
         """
         self._require_bottomk()
         self._require_threshold(d)
-        return self._kernel_base.pairs_jaccard(
-            self._similarity_views(), self._pair_ids(pairs), d, self.k
+        return kernels.pure.pairs_jaccard(
+            self._segments, self._node_tables[1][0],
+            self._pair_ids(pairs), d, self.k,
         )
 
     def pairs_union_size_estimate(
@@ -1306,9 +1300,9 @@ class AdsIndex:
         """
         self._require_bottomk()
         self._require_threshold(d)
-        return self._kernel_base.pairs_union_size(
-            self._similarity_views(), self._pair_ids(pairs), d, self.k,
-            self.rank_sup,
+        return kernels.pure.pairs_union_size(
+            self._segments, self._node_tables[1][0],
+            self._pair_ids(pairs), d, self.k, self.rank_sup,
         )
 
     def pairs_closeness_similarity(
@@ -1336,8 +1330,9 @@ class AdsIndex:
             [0.5, 1.0]
         """
         self._require_bottomk()
-        return self._kernel_base.pairs_closeness_similarity(
-            self._similarity_views(), self._pair_ids(pairs), self.k
+        return kernels.pure.pairs_closeness_similarity(
+            self._segments, self._node_tables[1][0],
+            self._pair_ids(pairs), self.k,
         )
 
     def most_similar(
@@ -1378,15 +1373,16 @@ class AdsIndex:
         require(count >= 1, f"count must be >= 1, got {count}")
         self._require_bottomk()
         self._require_threshold(d)
-        query = self._id_of(label)
+        query = self._ids[label]
         n = self.num_nodes
         stop = n if stop is None else stop
         require(
             0 <= start <= stop <= n,
             f"node range [{start}, {stop}) must lie within [0, {n})",
         )
-        scores = self._kernel_base.similarity_scan(
-            self._similarity_views(), query, d, self.k, start, stop
+        scores = kernels.pure.similarity_scan(
+            self._segments, self._node_tables[1][0], query, d, self.k,
+            start, stop,
         )
         # Lazy import: repro.centrality imports repro.ads at module load.
         from repro.centrality.closeness import top_k_central_nodes
@@ -1424,7 +1420,7 @@ class AdsIndex:
         if cached is not None:
             return cached
         entries = records_to_entries(
-            self._slice_records(self._id_of(label)), self._labels
+            self._slice_records(self._ids[label]), self._labels
         )
         ads = _FLAVOR_CLASSES[self.flavor](
             label, self.k, entries, self.family, rank_sup=self.rank_sup
@@ -1446,11 +1442,11 @@ class AdsIndex:
     def _slice_records(self, i: int) -> List[Record]:
         """Node id *i*'s entries as builder records (scan order), rank
         and tiebreak gathered from the per-node tables."""
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        nodes, ranks = self._slice_ranks(lo, hi)
-        aux = repeat(None) if self._aux is None else self._aux[lo:hi]
+        part, lo, hi = self._segments.locate(i)
+        nodes, ranks = self._slice_ranks(part, lo, hi)
+        aux = repeat(None) if part.aux is None else part.aux[lo:hi]
         return list(zip(
-            self._dist[lo:hi],
+            part.dist[lo:hi],
             map(self._node_tables[0].__getitem__, nodes),
             nodes,
             ranks,
@@ -1645,8 +1641,7 @@ class AdsIndex:
             self._aux = new_columns[3]
         # The spliced columns are new objects; any kernel views over
         # the old ones are stale.
-        self._views_cache = None
-        self._sim_views_cache = None
+        self._wrap_columns()
 
     def compact(
         self, path: Union[str, Path], shards: Optional[int] = None
@@ -1996,8 +1991,8 @@ class AdsIndex:
                 installed, honouring ``REPRO_BACKEND``), ``"numpy"``,
                 or ``"python"``.  Queries return bit-identical floats
                 either way.  On a lazily mapped sharded layout the
-                NumPy kernel assembles all shards on the first batch
-                query; single-node queries stay lazy.
+                NumPy kernel assembles all shards on the first sweep;
+                per-node and pair queries map only the shards they name.
             kernel_workers: Fan batch queries out across this many
                 worker processes (``"auto"``/``None``:
                 ``REPRO_KERNEL_WORKERS`` if set, else 1).  Results
@@ -2099,10 +2094,11 @@ class AdsIndex:
             # k <= 0, non-numeric values): corruption, not a caller bug.
             raise EstimatorError(f"{path}: corrupt header ({error})")
         if legacy is not None:
-            entries = index.num_entries
+            # Converted files load eagerly: flat columns, one segment.
+            (part,) = index._segments.segments
             tiebreaks = index._node_tables[0]
             if legacy != (
-                array("d", index._slice_ranks(0, entries)[1]),
+                array("d", index._slice_ranks(part, 0, index.num_entries)[1]),
                 array("Q", map(tiebreaks.__getitem__, index._node)),
             ):
                 raise EstimatorError(

@@ -1,12 +1,10 @@
 """Estimator kernel backends for :class:`~repro.ads.index.AdsIndex`.
 
-Every batch query the index serves -- the all-nodes cardinality sweep,
-the closeness sweep, the whole-graph neighborhood function, the HIP
-prefix-sum (cum-hip) materialisation, and the per-slice HIP-weight
-recompute behind dynamic updates -- reduces to bulk arithmetic over the
-flat entry columns (distance, HIP weight, node; the similarity ops
-gather each slice's ranks from the per-node table through the node
-column).  This package holds that arithmetic twice:
+Every whole-graph sweep the index serves -- the all-nodes cardinality
+sweep, the closeness sweep, the neighborhood function, the HIP
+prefix-sum (cum-hip) materialisation -- and the per-slice HIP-weight
+recompute behind dynamic updates reduce to bulk arithmetic over the
+flat entry columns.  This package holds that arithmetic twice:
 
 * :mod:`repro.ads.kernels.pure` -- the reference loops, stdlib only.
   Always importable; the authority on every float.
@@ -18,6 +16,13 @@ Both kernels expose one module-level API (``NAME``, ``prepare_views``,
 ``compute_cum_hip``, ``batch_cardinality``, ``batch_closeness``,
 ``neighborhood_series``, and the three per-flavor HIP-weight
 functions), so the index dispatches by holding a module reference.
+
+Everything *per node* exists once, in :mod:`~repro.ads.kernels.pure`,
+whatever the backend: the segment views every reader goes through
+(:class:`~repro.ads.kernels.pure.Columns`) and the similarity ops.  On
+slices of about k(1 + ln n - ln k) entries a NumPy mirror of those was
+level with the loops on flat layouts and ahead on a sharded map only
+by the ``ShardedColumn`` indexing the segments removed, so it is gone.
 
 **Float contract.**  The NumPy kernel is not merely "close": it
 performs every floating-point addition in the same left-to-right

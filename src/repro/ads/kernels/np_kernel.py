@@ -4,6 +4,10 @@ Importing this module requires NumPy; the dispatcher
 (:func:`repro.ads.kernels.resolve`) treats the ImportError as "backend
 unavailable" and falls back to :mod:`repro.ads.kernels.pure`.
 
+It holds the whole-graph sweeps and the k-mins weight recurrence;
+per-node reads and the similarity ops are scalar work on one short
+slice and exist once, in :mod:`repro.ads.kernels.pure`.
+
 Zero-copy views
 ---------------
 ``prepare_views`` wraps each flat column in an ``np.frombuffer`` view:
@@ -13,8 +17,8 @@ Zero-copy views
 * a sharded-mmap :class:`~repro.ads.mmap_io.ShardedColumn` is
   *assembled* once from its per-shard zero-copy views into one owned
   ndarray (batch sweeps touch every shard anyway, so the one-time
-  concatenation is the price of serving them at array speed; single
-  node queries keep using the lazy column and never pay it).
+  concatenation is the price of serving them at array speed; per-node
+  reads go through the pure kernel's segments and never pay it).
 
 The :class:`Views` object also lazily caches two derived artifacts the
 hot paths reuse across calls: the per-distance sort of the entry
@@ -49,14 +53,12 @@ both to the shared scalar core unchanged.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EstimatorError
-from repro.ads.kernels import pure as _pure
 from repro.ads.mmap_io import ShardedColumn
 
 NAME = "numpy"
@@ -304,9 +306,9 @@ def _alpha_per_entry(
     evaluated = np.empty(len(unique), dtype=np.float64)
     for i, distance in enumerate(unique.tolist()):
         evaluated[i] = 0.0 if distance == 0.0 else float(alpha(distance))
-    negative = evaluated < 0.0
-    if negative.any():
-        value = float(evaluated[np.argmax(negative)])
+    refused = ~(evaluated >= 0.0)  # negative or NaN
+    if refused.any():
+        value = float(evaluated[np.argmax(refused)])
         raise EstimatorError(
             f"g must be nonnegative (got {value}); HIP "
             "unbiasedness and the variance bounds assume g >= 0"
@@ -372,166 +374,6 @@ def neighborhood_series(views: Views) -> List[Tuple[float, float]]:
     masses = _group_sums(sorted_hip, group_starts, group_lengths)
     running = np.cumsum(masses)
     return list(zip(sorted_dist[group_starts].tolist(), running.tolist()))
-
-
-# ----------------------------------------------------------------------
-# Similarity / distance-oracle ops (bottom-k flavor only)
-# ----------------------------------------------------------------------
-class SimViews:
-    """Prepared ndarray views over the similarity columns.
-
-    Same zero-copy rules as :class:`Views`; the entry-node column and
-    the n-length table of node ranks ride along because similarity
-    estimators read sketch membership, not HIP mass.
-    """
-
-    __slots__ = ("offsets", "node", "dist", "rank", "starts", "ends", "n")
-
-    def __init__(self, offsets, node, dist, rank):
-        self.offsets = _as_ndarray(offsets, np.int64)
-        self.node = _as_ndarray(node, np.uint32)
-        self.dist = _as_ndarray(dist, np.float64)
-        self.rank = _as_ndarray(rank, np.float64)
-        self.starts = self.offsets[:-1]
-        self.ends = self.offsets[1:]
-        self.n = len(self.starts)
-
-
-def prepare_similarity_views(offsets, node, dist, rank) -> SimViews:
-    return SimViews(offsets, node, dist, rank)
-
-
-def _slice_ranks(
-    views: SimViews, lo: int, hi: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(ranks, nodes)`` of entry slots ``[lo, hi)``: one gather from
-    the per-node rank table through the node column.  Ids are unsigned,
-    so a hostile one overruns the table and NumPy's bounds check
-    catches it."""
-    nodes = views.node[lo:hi]
-    try:
-        return views.rank.take(nodes), nodes
-    except IndexError:
-        raise _pure.bad_node_id(nodes.tolist(), lo, len(views.rank)) from None
-
-
-def _minhash_for_slice(
-    views: SimViews, i: int, d: float, k: int
-) -> List[Tuple[float, int]]:
-    """The bottom-k MinHash sketch of N_d(node i), matching the pure
-    kernel's ``(rank, node)`` ordering exactly: ``searchsorted`` for the
-    distance cutoff (the slice is distance-sorted), then a ``lexsort``
-    keyed on rank-then-node -- the same total order ``sorted`` applies
-    to the pair tuples."""
-    lo = int(views.starts[i])
-    hi = int(views.ends[i])
-    cutoff = lo + int(np.searchsorted(views.dist[lo:hi], d, side="right"))
-    ranks, nodes = _slice_ranks(views, lo, cutoff)
-    order = np.lexsort((nodes, ranks))[:k]
-    return list(zip(ranks[order].tolist(), nodes[order].tolist()))
-
-
-def pairs_jaccard(
-    views: SimViews, pairs: Sequence[Tuple[int, int]], d: float, k: int
-) -> List[float]:
-    """Neighborhood Jaccard per pair.  Sketch extraction is vectorised;
-    the union/membership count over <= 2k survivors is the shared
-    scalar core (exact integer ratios, identical on every backend)."""
-    return [
-        _pure.union_jaccard(
-            _minhash_for_slice(views, u, d, k),
-            _minhash_for_slice(views, v, d, k),
-            k,
-        )
-        for u, v in pairs
-    ]
-
-
-def pairs_union_size(
-    views: SimViews,
-    pairs: Sequence[Tuple[int, int]],
-    d: float,
-    k: int,
-    rank_sup: float,
-) -> List[float]:
-    """Neighborhood union-size estimates per pair (shared scalar core
-    over vectorised sketch extraction, like :func:`pairs_jaccard`)."""
-    return [
-        _pure.union_size_from_sketches(
-            _minhash_for_slice(views, u, d, k),
-            _minhash_for_slice(views, v, d, k),
-            k,
-            rank_sup,
-        )
-        for u, v in pairs
-    ]
-
-
-def pairs_closeness_similarity(
-    views: SimViews, pairs: Sequence[Tuple[int, int]], k: int
-) -> List[float]:
-    """Closeness similarity per pair.  The merge sweep is sequential
-    scalar work over <= k-entry sketches, so this kernel only extracts
-    the slices (``tolist`` of the column views) and runs the shared
-    core, :func:`repro.ads.kernels.pure.closeness_sweep`."""
-    starts, ends, dist = views.starts, views.ends, views.dist
-
-    def slice_of(i: int) -> _pure.SweepSlice:
-        lo, hi = int(starts[i]), int(ends[i])
-        ranks, nodes = _slice_ranks(views, lo, hi)
-        return dist[lo:hi].tolist(), list(zip(ranks.tolist(), nodes.tolist()))
-
-    return _pure.sweep_pairs(slice_of, pairs, k)
-
-
-def pairs_distance(
-    views: SimViews, pairs: Sequence[Tuple[int, int]]
-) -> List[float]:
-    """Sketch-space distance upper bounds per pair, vectorised: one
-    ``np.intersect1d`` over the two slices' entry nodes (unique within a
-    bottom-k slice, hence ``assume_unique``), then an order-free minimum
-    of exact one-add sums -- bit-identical to the pure loop."""
-    node, dist = views.node, views.dist
-    values: List[float] = []
-    for u, v in pairs:
-        lo_u, hi_u = int(views.starts[u]), int(views.ends[u])
-        lo_v, hi_v = int(views.starts[v]), int(views.ends[v])
-        _, index_u, index_v = np.intersect1d(
-            node[lo_u:hi_u],
-            node[lo_v:hi_v],
-            assume_unique=True,
-            return_indices=True,
-        )
-        if not len(index_u):
-            values.append(math.inf)
-            continue
-        sums = dist[lo_u:hi_u][index_u] + dist[lo_v:hi_v][index_v]
-        values.append(float(sums.min()))
-    return values
-
-
-def similarity_scan(
-    views: SimViews, query: int, d: float, k: int, start: int, stop: int
-) -> List[Tuple[int, float]]:
-    """Neighborhood Jaccard of ``query`` against candidate ids in
-    ``[start, stop)`` (query excluded), in id order -- the query sketch
-    is extracted once and reused across the sweep."""
-    reference = _minhash_for_slice(views, query, d, k)
-    scores: List[Tuple[int, float]] = []
-    for candidate in range(start, stop):
-        if candidate == query:
-            continue
-        scores.append(
-            (
-                candidate,
-                _pure.union_jaccard(
-                    reference,
-                    _minhash_for_slice(views, candidate, d, k),
-                    k,
-                ),
-            )
-        )
-    return scores
 
 
 # ----------------------------------------------------------------------

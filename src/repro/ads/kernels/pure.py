@@ -8,15 +8,18 @@ left-to-right per-slice summation order.
 
 A *views* object for this kernel (:class:`Columns`) is a list of
 :class:`Segment` objects -- contiguous node ranges whose entry columns
-are each one flat buffer -- that the sweep ops walk in node order.
-Flat columns (``array.array`` for eager indexes, one ``memoryview``
-per column for single-file maps) are one segment; a sharded-mmap
+are each one flat buffer -- that the sweep ops walk in node order and
+every per-node reader reaches through ``locate(i)``.  Flat columns
+(``array.array`` for eager indexes, one ``memoryview`` per column for
+single-file maps) are one segment; a sharded-mmap
 :class:`~repro.ads.mmap_io.ShardedColumn` is one segment per nonempty
-shard, each a zero-copy ``memoryview`` of the mapped file.  Indexing a
-``ShardedColumn`` directly costs a Python-level shard lookup on every
-bisect probe and every per-node slice (2.0-3.5x on a whole sweep);
-over segments every bisect, slice and ``zip`` runs in C whatever the
-storage, and the floats and their summation order are the same.
+shard, each a zero-copy ``memoryview`` of the mapped file, cut on first
+touch.  Indexing a ``ShardedColumn`` directly costs a Python-level
+shard lookup on every bisect probe and every per-node slice (2.0-3.5x
+on a whole sweep, 2-3x on a point read); over segments every bisect,
+slice and ``zip`` runs in C whatever the storage, and the floats and
+their summation order are the same.  The similarity ops at the bottom
+exist only here, for both backends' indexes (see the package docs).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import (
-    Any, Callable, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.errors import EstimatorError
@@ -47,6 +50,8 @@ class Segment(NamedTuple):
     offsets: Sequence[int]
     dist: Sequence[float]
     hip: Sequence[float]
+    node: Optional[Sequence[int]] = None
+    aux: Optional[Sequence[int]] = None
 
     def window(self, column):
         """This segment's entries of a whole-index column (the cum-hip
@@ -54,13 +59,6 @@ class Segment(NamedTuple):
         if column is None:
             return None
         return memoryview(column)[self.base:self.base + len(self.hip)]
-
-
-class Columns(NamedTuple):
-    """The pure kernel's prepared view: the segments in node order."""
-
-    segments: List[Segment]
-    entries: int
 
 
 def shard_node_ranges(offsets, dist_column) -> List[Tuple[int, int, Any]]:
@@ -84,23 +82,86 @@ def shard_node_ranges(offsets, dist_column) -> List[Tuple[int, int, Any]]:
     return list(zip(bounds, bounds[1:], specs))
 
 
-def segment(offsets, dist, hip, a: int, b: int) -> Segment:
+def segment(offsets, dist, hip, a: int, b: int, node=None, aux=None):
     """Node range ``[a, b)`` of sliceable columns as a :class:`Segment`."""
     lo, hi = offsets[a], offsets[b]
     rebased = array("q", (offsets[i] - lo for i in range(a, b + 1)))
-    return Segment(lo, rebased, dist[lo:hi], hip[lo:hi])
-
-
-def prepare_views(offsets, dist, hip) -> Columns:
-    """Cut sharded columns into per-shard segments (mapping each shard
-    file); flat columns are wrapped whole, nothing copied."""
-    segments = [
-        segment(offsets, dist, hip, a, b)
-        for a, b, _ in shard_node_ranges(offsets, dist)
-    ]
-    return Columns(
-        segments or [Segment(0, offsets, dist, hip)], len(hip)
+    return Segment(
+        lo, rebased, dist[lo:hi], hip[lo:hi],
+        None if node is None else node[lo:hi],
+        None if aux is None else aux[lo:hi],
     )
+
+
+class Columns:
+    """The pure kernel's prepared view: the segments in node order.
+
+    Flat columns are wrapped whole as the one segment, nothing copied.
+    Sharded columns get one segment per nonempty shard, cut (mapping
+    that one shard file) when a reader first asks for it; an unlocked
+    racing first touch cuts the same segment twice and one copy wins.
+    """
+
+    __slots__ = ("entries", "_columns", "_bounds", "_parts")
+
+    def __init__(self, offsets, dist, hip, node=None, aux=None):
+        self.entries = len(hip)
+        self._columns = (offsets, dist, hip, node, aux)
+        ranges = shard_node_ranges(offsets, dist)
+        # _bounds: node-id bounds of the segments, what locate() bisects.
+        if ranges:
+            self._bounds = [a for a, _, _ in ranges]
+            self._parts: List[Optional[Segment]] = [None] * len(ranges)
+        else:
+            self._bounds = [0]
+            self._parts = [Segment(0, offsets, dist, hip, node, aux)]
+        self._bounds.append(len(offsets) - 1)
+
+    def _part(self, position: int) -> Segment:
+        part = self._parts[position]
+        if part is None:
+            offsets, dist, hip, node, aux = self._columns
+            a, b = self._bounds[position:position + 2]
+            part = segment(offsets, dist, hip, a, b, node, aux)
+            self._parts[position] = part
+        return part
+
+    @property
+    def segments(self) -> List[Segment]:
+        """Every segment, in node order (cuts the ones still missing)."""
+        return [self._part(position) for position in range(len(self._parts))]
+
+    def locate(self, i: int) -> Tuple[Segment, int, int]:
+        """Node id *i*'s segment and its entries' ``[lo, hi)`` in that
+        segment's buffers: no search for one segment, else one bisect."""
+        bounds = self._bounds
+        position = 0
+        if len(bounds) > 2:
+            position = bisect_right(bounds, i) - 1
+            i -= bounds[position]
+        part = self._parts[position]
+        if part is None:
+            part = self._part(position)
+        offsets = part.offsets
+        return part, offsets[i], offsets[i + 1]
+
+    def locate_range(
+        self, start: int, stop: int
+    ) -> Iterator[Tuple[Segment, int, int]]:
+        """:meth:`locate` for the node range ``[start, stop)``: each
+        segment holding some of it, in node order, with the entry
+        bounds of the nodes it holds there."""
+        bounds = self._bounds
+        position = bisect_right(bounds, start) - 1
+        while start < stop:
+            part = self._part(position)
+            a, end = bounds[position], min(stop, bounds[position + 1])
+            yield part, part.offsets[start - a], part.offsets[end - a]
+            start, position = end, position + 1
+
+
+#: The kernel API's ``prepare_views``; maps and copies nothing.
+prepare_views = Columns
 
 
 def compute_cum_hip(views: Columns) -> array:
@@ -111,7 +172,8 @@ def compute_cum_hip(views: Columns) -> array:
     so the floats agree bit-for-bit.
     """
     cumulative = array("d", bytes(8 * views.entries))
-    for base, offsets, _, hip_column in views.segments:
+    for part in views.segments:
+        base, offsets, hip_column = part.base, part.offsets, part.hip
         for i in range(len(offsets) - 1):
             lo, hi = offsets[i], offsets[i + 1]
             running = 0.0
@@ -124,16 +186,17 @@ def compute_cum_hip(views: Columns) -> array:
 
 
 def slice_hip_sum(
-    hip, cum: Optional[Sequence[float]], lo: int, hi: int
+    hip, cum: Optional[Sequence[float]], lo: int, hi: int, base: int = 0
 ) -> float:
-    """Left-to-right sum of ``hip[lo:hi]`` -- ``cum[hi - 1]`` by
-    construction, summed locally when the prefix column has not been
-    materialised (a lazy load serving one node must not pay an
-    all-entries pass)."""
+    """Left-to-right sum of ``hip[lo:hi]`` -- ``cum[base + hi - 1]`` by
+    construction (*base*: the buffer's first slot in *cum*, a segment's
+    ``base`` against the whole-index column), summed locally when the
+    prefix column has not been materialised (a lazy load serving one
+    node must not pay an all-entries pass)."""
     if hi <= lo:
         return 0.0
     if cum is not None:
-        return cum[hi - 1]
+        return cum[base + hi - 1]
     running = 0.0
     for weight in hip[lo:hi]:
         running += weight
@@ -171,7 +234,7 @@ def closeness_for_slice(
         if d == 0.0:
             continue
         value = d if alpha is None else float(alpha(d))
-        if value < 0.0:
+        if not value >= 0.0:  # negative or NaN
             raise EstimatorError(
                 f"g must be nonnegative (got {value}); HIP "
                 "unbiasedness and the variance bounds assume g >= 0"
@@ -229,40 +292,23 @@ def neighborhood_series(views: Columns) -> List[Tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # Similarity / distance-oracle ops (bottom-k flavor only).
 #
-# These operate on a second prepared view (:class:`SimColumns`) that
-# carries the entry-node column and the per-node rank table alongside
-# offsets/distances.  A rank is a function of the node (Section 2), so
-# each op gathers its slice's ranks through the node column; no
-# per-entry rank column exists.
+# They read the same :class:`Columns` as everything else plus the
+# n-length table of node ranks, passed in: a rank is a function of the
+# node (Section 2), not a storage column, so each op gathers its
+# slice's ranks through the segment's node column.
 # All callers gate on the bottom-k flavor first: the ops assume each
 # slice lists distinct entry nodes whose extracted MinHash sketches are
 # k-samples without replacement (the coordination property Section 5 of
 # the paper builds on).  Results are exact set arithmetic (integer
-# ratios, order-free minima) plus reference-order float accumulation,
-# so the NumPy mirrors are bit-identical.
+# ratios, order-free minima) plus reference-order float accumulation.
 # ---------------------------------------------------------------------------
 
 
-class SimColumns(NamedTuple):
-    """The pure kernel's similarity view: entry columns plus the
-    n-length table of node ranks."""
-
-    offsets: Sequence[int]
-    node: Sequence[int]
-    dist: Sequence[float]
-    rank: Sequence[float]
-    n: int
-
-
-def prepare_similarity_views(offsets, node, dist, rank) -> SimColumns:
-    """Wrap the raw similarity columns; nothing is copied."""
-    return SimColumns(offsets, node, dist, rank, len(offsets) - 1)
-
-
 def bad_node_id(nodes: Sequence[int], lo: int, n: int) -> EstimatorError:
-    """The error for a node-column slice (starting at entry slot *lo*)
-    holding an id outside ``[0, n)``.  Mapped loads skip the load-time
-    id scan, so the readers that look an id up check it here."""
+    """The error for a node-column slice (starting at global entry slot
+    *lo*) holding an id outside ``[0, n)``.  Mapped loads skip the
+    load-time id scan, so the readers that look an id up check it
+    here."""
     slot, node_id = next(
         (lo + i, v) for i, v in enumerate(nodes) if not 0 <= v < n
     )
@@ -272,28 +318,28 @@ def bad_node_id(nodes: Sequence[int], lo: int, n: int) -> EstimatorError:
     )
 
 
-def slice_keys(views: SimColumns, lo: int, hi: int) -> List[Tuple[float, int]]:
-    """The ``(rank, node)`` keys of entry slots ``[lo, hi)``, each rank
-    looked up in the per-node table.  Ids are unsigned, so a hostile
-    one can only overrun the table."""
-    nodes = views.node[lo:hi]
-    rank = views.rank
+def slice_keys(
+    part: Segment, lo: int, hi: int, rank: Sequence[float]
+) -> List[Tuple[float, int]]:
+    """The ``(rank, node)`` keys of *part*'s entry slots ``[lo, hi)``,
+    each rank looked up in the per-node table.  Ids are unsigned, so a
+    hostile one can only overrun the table."""
+    nodes = part.node[lo:hi]
     try:
         return [(rank[v], v) for v in nodes]
     except IndexError:
-        raise bad_node_id(nodes, lo, len(rank)) from None
+        raise bad_node_id(nodes, part.base + lo, len(rank)) from None
 
 
 def minhash_for_slice(
-    views: SimColumns, i: int, d: float, k: int
+    views: Columns, rank: Sequence[float], i: int, d: float, k: int
 ) -> List[Tuple[float, int]]:
     """The bottom-k MinHash sketch of N_d(node i): the k smallest
     ``(rank, node)`` pairs among entries within distance ``d`` --
     ``BottomKADS.minhash_at`` replayed over the flat columns."""
-    offsets = views.offsets
-    lo, hi = offsets[i], offsets[i + 1]
-    cutoff = bisect_right(views.dist, d, lo, hi)
-    return sorted(slice_keys(views, lo, cutoff))[:k]
+    part, lo, hi = views.locate(i)
+    cutoff = bisect_right(part.dist, d, lo, hi)
+    return sorted(slice_keys(part, lo, cutoff, rank))[:k]
 
 
 def union_sketch(
@@ -301,16 +347,11 @@ def union_sketch(
     sketch_b: Sequence[Tuple[float, int]],
     k: int,
 ) -> List[Tuple[float, int]]:
-    """Bottom-k of the union of two coordinated MinHash sketches,
-    deduplicated by node -- the merge at the heart of every similarity
-    estimator (shared with the NumPy backend for bit-identity)."""
-    merged: dict = {}
-    for rank, node in sketch_a:
-        merged[node] = rank
-    for rank, node in sketch_b:
-        merged[node] = rank
-    union = sorted((rank, node) for node, rank in merged.items())
-    return union[:k]
+    """Bottom-k of the union of two coordinated MinHash sketches -- the
+    merge at the heart of every similarity estimator.  A rank is a
+    function of the node, so a node both sides sampled carries one
+    ``(rank, node)`` key and the set union keeps it once."""
+    return sorted({*sketch_a, *sketch_b})[:k]
 
 
 def union_jaccard(
@@ -318,9 +359,10 @@ def union_jaccard(
     sketch_b: Sequence[Tuple[float, int]],
     k: int,
 ) -> float:
-    """The MinHash Jaccard estimate from two coordinated sketches: the
-    fraction of the union's bottom-k sampled by both sides.  Exact
-    integer ratio -- identical on every backend."""
+    """The MinHash Jaccard estimate from two coordinated sketches in
+    any order: the fraction of the union's bottom-k sampled by both
+    sides, an exact integer ratio.  The ops run :func:`_sorted_jaccard`
+    on their sorted sketches; this is the form it is held equal to."""
     union = union_sketch(sketch_a, sketch_b, k)
     if not union:
         return 0.0
@@ -346,14 +388,16 @@ def union_size_from_sketches(
 
 
 def pairs_jaccard(
-    views: SimColumns, pairs: Sequence[Tuple[int, int]], d: float, k: int
+    views: Columns, rank: Sequence[float],
+    pairs: Sequence[Tuple[int, int]], d: float, k: int,
 ) -> List[float]:
     """Neighborhood Jaccard estimates for ``(u, v)`` id pairs at
-    threshold ``d``, in input order."""
+    threshold ``d``, in input order (extracted sketches are sorted, so
+    the merge form of :func:`union_jaccard` applies)."""
     return [
-        union_jaccard(
-            minhash_for_slice(views, u, d, k),
-            minhash_for_slice(views, v, d, k),
+        _sorted_jaccard(
+            minhash_for_slice(views, rank, u, d, k),
+            minhash_for_slice(views, rank, v, d, k),
             k,
         )
         for u, v in pairs
@@ -361,18 +405,15 @@ def pairs_jaccard(
 
 
 def pairs_union_size(
-    views: SimColumns,
-    pairs: Sequence[Tuple[int, int]],
-    d: float,
-    k: int,
-    rank_sup: float,
+    views: Columns, rank: Sequence[float],
+    pairs: Sequence[Tuple[int, int]], d: float, k: int, rank_sup: float,
 ) -> List[float]:
     """Neighborhood union-size estimates for ``(u, v)`` id pairs at
     threshold ``d``, in input order."""
     return [
         union_size_from_sketches(
-            minhash_for_slice(views, u, d, k),
-            minhash_for_slice(views, v, d, k),
+            minhash_for_slice(views, rank, u, d, k),
+            minhash_for_slice(views, rank, v, d, k),
             k,
             rank_sup,
         )
@@ -469,60 +510,47 @@ def closeness_sweep(slice_a: SweepSlice, slice_b: SweepSlice, k: int) -> float:
     return total / steps if steps else 0.0
 
 
-def sweep_pairs(
-    slice_of: Callable[[int], SweepSlice],
-    pairs: Sequence[Tuple[int, int]],
-    k: int,
+def pairs_closeness_similarity(
+    views: Columns, rank: Sequence[float],
+    pairs: Sequence[Tuple[int, int]], k: int,
 ) -> List[float]:
-    """:func:`closeness_sweep` per ``(u, v)`` id pair, in input order.
-    *slice_of* is the calling kernel's column extraction; each distinct
-    node is extracted once per batch."""
+    """Closeness similarity for ``(u, v)`` id pairs, in input order:
+    the uniform-weight average of neighborhood Jaccard over the sorted
+    union of the two slices' distinct entry distances -- exactly
+    ``repro.centrality.similarity.closeness_similarity`` with default
+    weights, computed by :func:`closeness_sweep`.  Each distinct node's
+    slice is extracted once per batch."""
     slices: dict = {}
     values: List[float] = []
     for pair in pairs:
         for node_id in pair:
             if node_id not in slices:
-                slices[node_id] = slice_of(node_id)
+                part, lo, hi = views.locate(node_id)
+                slices[node_id] = (
+                    list(part.dist[lo:hi]), slice_keys(part, lo, hi, rank)
+                )
         values.append(closeness_sweep(slices[pair[0]], slices[pair[1]], k))
     return values
 
 
-def pairs_closeness_similarity(
-    views: SimColumns, pairs: Sequence[Tuple[int, int]], k: int
-) -> List[float]:
-    """Closeness similarity for ``(u, v)`` id pairs: the uniform-weight
-    average of neighborhood Jaccard over the sorted union of the two
-    slices' distinct entry distances -- exactly
-    ``repro.centrality.similarity.closeness_similarity`` with default
-    weights, computed by :func:`closeness_sweep`."""
-    offsets, dist = views.offsets, views.dist
-
-    def slice_of(i: int) -> SweepSlice:
-        lo, hi = offsets[i], offsets[i + 1]
-        return list(dist[lo:hi]), slice_keys(views, lo, hi)
-
-    return sweep_pairs(slice_of, pairs, k)
-
-
 def pairs_distance(
-    views: SimColumns, pairs: Sequence[Tuple[int, int]]
+    views: Columns, pairs: Sequence[Tuple[int, int]]
 ) -> List[float]:
     """Sketch-space distance upper bounds for ``(u, v)`` id pairs:
     min over common sketch entries ``w`` of ``d(u, w) + d(v, w)``
     (``inf`` when the slices share no entry).  Order-free minimum of
-    exact one-add sums -- bit-identical on every backend."""
-    offsets, node, dist = views.offsets, views.node, views.dist
+    exact one-add sums."""
     values: List[float] = []
     for u, v in pairs:
-        lo, hi = offsets[u], offsets[u + 1]
+        part, lo, hi = views.locate(u)
         through: dict = {}
-        for w, d_uw in zip(node[lo:hi], dist[lo:hi]):
+        for w, d_uw in zip(part.node[lo:hi], part.dist[lo:hi]):
             current = through.get(w)
             if current is None or d_uw < current:
                 through[w] = d_uw
-        lo, hi = offsets[v], offsets[v + 1]
+        part, lo, hi = views.locate(v)
         best = math.inf
-        for w, d_vw in zip(node[lo:hi], dist[lo:hi]):
+        for w, d_vw in zip(part.node[lo:hi], part.dist[lo:hi]):
             d_uw = through.get(w)
             if d_uw is not None:
                 candidate = d_uw + d_vw
@@ -533,26 +561,24 @@ def pairs_distance(
 
 
 def similarity_scan(
-    views: SimColumns, query: int, d: float, k: int, start: int, stop: int
+    views: Columns, rank: Sequence[float], query: int, d: float, k: int,
+    start: int, stop: int,
 ) -> List[Tuple[int, float]]:
     """Neighborhood Jaccard of ``query`` against every candidate id in
     ``[start, stop)`` (the query itself excluded), in id order.  The
     caller ranks; this just scans a contiguous id range so sharded
     workers can sweep their slice of the candidate space."""
-    reference = minhash_for_slice(views, query, d, k)
-    scores: List[Tuple[int, float]] = []
-    for candidate in range(start, stop):
-        if candidate == query:
-            continue
-        scores.append(
-            (
-                candidate,
-                union_jaccard(
-                    reference, minhash_for_slice(views, candidate, d, k), k
-                ),
-            )
+    reference = minhash_for_slice(views, rank, query, d, k)
+    return [
+        (
+            candidate,
+            _sorted_jaccard(
+                reference, minhash_for_slice(views, rank, candidate, d, k), k
+            ),
         )
-    return scores
+        for candidate in range(start, stop)
+        if candidate != query
+    ]
 
 
 def bottom_k_hip_weights(ranks: Sequence[float], k: int) -> List[float]:

@@ -56,11 +56,12 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKEND_CHOICES),
         default="auto",
-        help="estimator kernel for batch queries: 'numpy' (vectorised, "
-        "requires the [fast] extra), 'python' (stdlib loops), or 'auto' "
-        "(numpy when available; the REPRO_BACKEND env var overrides). "
-        "Same estimates either way (cardinalities exactly, aggregated "
-        "sums to 1e-9 relative).",
+        help="kernel for the whole-graph sweeps (all-nodes cardinality "
+        "and closeness, neighborhood function, cum-hip): 'numpy' "
+        "(vectorised, requires the [fast] extra), 'python' (stdlib "
+        "loops), or 'auto' (numpy when available; the REPRO_BACKEND env "
+        "var overrides). Bit-identical answers either way; per-node and "
+        "pair queries run the same code on both.",
     )
 
 

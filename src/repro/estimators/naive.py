@@ -50,8 +50,8 @@ def naive_q_statistic(
         if not include_source and dist == 0.0:
             continue
         value = float(g(node, dist))
-        if value < 0.0:
-            raise EstimatorError("g must be nonnegative")
+        if not value >= 0.0:  # negative or NaN
+            raise EstimatorError(f"g must be nonnegative (got {value})")
         values.append(value)
     if not values:
         return 0.0

@@ -148,7 +148,7 @@ def q_statistic_estimate(
         if not include_source and dist == 0.0:
             continue
         value = float(g(node, dist))
-        if value < 0.0:
+        if not value >= 0.0:  # negative or NaN
             raise EstimatorError(
                 f"g must be nonnegative (got {value} at node {node!r}); "
                 "HIP unbiasedness and the variance bounds assume g >= 0"

@@ -120,21 +120,23 @@ def _per_threshold(slice_a, slice_b, k):
     index would hold: both sketches re-extracted at every grid step."""
     (dist_a, keys_a), (dist_b, keys_b) = slice_a, slice_b
     keys = keys_a + keys_b
-    # A rank is a function of the node: the views take the per-node
-    # table and gather through the node column.
+    # A rank is a function of the node: the ops take the per-node
+    # table beside the views and gather through the node column.
     rank_of = {node: rank for rank, node in keys}
-    views = pure.prepare_similarity_views(
+    ranks = [rank_of.get(node, 1.0) for node in range(max(rank_of, default=-1) + 1)]
+    distances = dist_a + dist_b
+    views = pure.prepare_views(
         [0, len(keys_a), len(keys)],
-        [node for _, node in keys],
-        dist_a + dist_b,
-        [rank_of.get(node, 1.0) for node in range(max(rank_of, default=-1) + 1)],
+        distances,
+        [1.0] * len(distances),  # HIP weights: not read by MinHash extraction
+        node=[node for _, node in keys],
     )
     grid = sorted(set(dist_a) | set(dist_b))
     total = 0.0
     for threshold in grid:
         total += pure.union_jaccard(
-            pure.minhash_for_slice(views, 0, threshold, k),
-            pure.minhash_for_slice(views, 1, threshold, k),
+            pure.minhash_for_slice(views, ranks, 0, threshold, k),
+            pure.minhash_for_slice(views, ranks, 1, threshold, k),
             k,
         )
     return total / len(grid) if grid else 0.0
@@ -202,11 +204,8 @@ def test_sweep_never_reaches_per_threshold_extraction(backend, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closeness similarity re-extracted a sketch")
 
+    # One implementation, reached from both backends' indexes.
     monkeypatch.setattr(pure, "minhash_for_slice", refuse)
-    if backend == "numpy":
-        from repro.ads.kernels import np_kernel
-
-        monkeypatch.setattr(np_kernel, "_minhash_for_slice", refuse)
     index = AdsIndex.build(
         path_graph(6).to_csr(), 2, family=HashFamily(3), backend=backend
     )

@@ -78,6 +78,16 @@ class TestQStatistic:
         with pytest.raises(EstimatorError):
             q_statistic_estimate(["a"], [1.0], [1.0], lambda n, d: -1.0)
 
+    def test_nan_g_rejected(self):
+        # ``nan < 0`` is false: the guard has to be ``not value >= 0``.
+        with pytest.raises(EstimatorError, match="nonnegative .got nan"):
+            q_statistic_estimate(
+                ["a"], [1.0], [1.0], lambda n, d: float("nan")
+            )
+        assert q_statistic_estimate(
+            ["a"], [1.0], [2.0], lambda n, d: float("inf")
+        ) == float("inf")
+
     def test_length_mismatch(self):
         with pytest.raises(EstimatorError):
             q_statistic_estimate(["a"], [1.0, 2.0], [1.0], lambda n, d: 1.0)
@@ -121,3 +131,9 @@ class TestNaiveBaseline:
     def test_negative_g_rejected(self):
         with pytest.raises(EstimatorError):
             naive_q_statistic([(0.1, "a", 1.0)], 1, lambda n, d: -2.0)
+
+    def test_nan_g_rejected(self):
+        with pytest.raises(EstimatorError, match="nonnegative .got nan"):
+            naive_q_statistic(
+                [(0.1, "a", 1.0)], 1, lambda n, d: float("nan")
+            )

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads import index as index_module
-from repro.ads.index import MANIFEST_NAME
+from repro.ads.index import MANIFEST_NAME, shard_ranges
 from repro.ads.mmap_io import ENTRY_COLUMNS, expected_bytes
 from repro.errors import EstimatorError
 from repro.graph import barabasi_albert_graph
@@ -227,9 +227,11 @@ class TestVersion1Files:
 
 
 def _mapped_with_bad_id(tmp_path, layout, node_id):
-    """A mapped load whose node 5 slice holds *node_id* in its second
-    entry (header and column checksums untouched: mapped loads do not
-    read them)."""
+    """A mapped load whose node *bad* slice holds *node_id* in its
+    second entry (header and column checksums untouched: mapped loads
+    do not read them); returns ``(path, bad)``.  ``second-shard`` puts
+    it in shard 1 of 3, where a segment's local slot and the global
+    entry slot differ."""
     index = _build()
     if layout == "single":
         path = tmp_path / "flat.adsidx"
@@ -238,40 +240,44 @@ def _mapped_with_bad_id(tmp_path, layout, node_id):
             path, "bottomk", index.num_nodes, index.num_entries,
             index._offsets[5] + 1, node_id,
         )
-    else:
-        path = tmp_path / "sharded"
-        index.save(path, shards=1)
-        index_format.poke_node_id(
-            path / "shard-00000.adsshd", "bottomk", index.num_nodes,
-            index.num_entries, index._offsets[5] + 1, node_id,
-        )
-    return path
+        return path, 5
+    path = tmp_path / "sharded"
+    shards, shard, bad = (1, 0, 5) if layout == "sharded" else (3, 1, 25)
+    index.save(path, shards=shards)
+    start, stop = shard_ranges(index.num_nodes, shards)[shard]
+    base = index._offsets[start]
+    index_format.poke_node_id(
+        path / f"shard-{shard:05d}.adsshd", "bottomk", stop - start,
+        index._offsets[stop] - base, index._offsets[bad] + 1 - base, node_id,
+    )
+    return path, bad
 
 
 class TestHostileNodeIdsOnMappedLoads:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("node_id", [60, 10_000, -1, -60])
-    @pytest.mark.parametrize("layout", ["single", "sharded"])
+    @pytest.mark.parametrize("layout", ["single", "sharded", "second-shard"])
     def test_every_id_lookup_refuses(self, tmp_path, layout, node_id, backend):
-        path = _mapped_with_bad_id(tmp_path, layout, node_id)
+        path, bad = _mapped_with_bad_id(tmp_path, layout, node_id)
         mapped = AdsIndex.load(path, mmap=True, backend=backend)
         assert mapped.mmap_backed
         lookups = [
-            lambda: mapped.pairs_neighborhood_jaccard([(5, 6)]),
-            lambda: mapped.pairs_union_size_estimate([(6, 5)]),
-            lambda: mapped.pairs_closeness_similarity([(5, 6)]),
-            lambda: mapped.most_similar(5, count=3),
-            lambda: mapped[5],
-            lambda: mapped.node_closeness_centrality(5, beta=lambda v: 1.0),
+            lambda: mapped.pairs_neighborhood_jaccard([(bad, bad + 1)]),
+            lambda: mapped.pairs_union_size_estimate([(bad + 1, bad)]),
+            lambda: mapped.pairs_closeness_similarity([(bad, bad + 1)]),
+            lambda: mapped.most_similar(bad, count=3),
+            lambda: mapped[bad],
+            lambda: mapped.node_closeness_centrality(bad, beta=lambda v: 1.0),
         ]
-        slot = mapped._offsets[5] + 1
+        # The error names the global entry slot on every layout.
+        slot = mapped._offsets[bad] + 1
         for lookup in lookups:
             with pytest.raises(EstimatorError, match=f"slot {slot} "):
                 lookup()
         # Slices that do not hold the bad id keep answering, and nothing
         # that reads only distances and weights ever looked.
-        assert mapped.pairs_neighborhood_jaccard([(6, 7)])
-        assert mapped.node_cardinality_at(5, 2.0) > 0.0
+        assert mapped.pairs_neighborhood_jaccard([(bad + 1, bad + 2)])
+        assert mapped.node_cardinality_at(bad, 2.0) > 0.0
         # The eager load scans (and checksums) the column up front.
         with pytest.raises(EstimatorError):
             AdsIndex.load(path)

@@ -25,7 +25,7 @@ import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.kernels import pure
-from repro.ads.mmap_io import ShardedColumn
+from repro.ads.mmap_io import ENTRY_COLUMNS, ShardedColumn
 from repro.errors import EstimatorError, ParameterError
 from repro.estimators.statistics import (
     exponential_decay_kernel,
@@ -475,7 +475,39 @@ class TestNanThreshold:
         assert index.node_cardinality_at(0, 0) == 1.0
 
 
-def _padded_layouts(flavor, tmp_path):
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNanKernel:
+    """``nan < 0`` is false, so a g >= 0 guard written ``value < 0``
+    answers a NaN from ``alpha``: a NaN centrality for every node and a
+    ``top_central`` ranking over NaNs in whatever order the heap leaves
+    them.  Refused like a negative value, on both kernels."""
+
+    FORMS = (
+        lambda index, alpha: index.closeness_centrality(alpha=alpha),
+        lambda index, alpha: index.node_closeness_centrality(0, alpha=alpha),
+        lambda index, alpha: index.top_central(1, alpha=alpha),
+    )
+
+    @pytest.mark.parametrize("form", range(len(FORMS)))
+    def test_nan_is_refused_like_a_negative_value(self, backend, form):
+        from repro.graph import path_graph
+
+        index = AdsIndex.build(path_graph(6).to_csr(), 4, backend=backend)
+        reference = AdsIndex.build(
+            path_graph(6).to_csr(), 4, backend="python"
+        )
+        call = self.FORMS[form]
+        with pytest.raises(EstimatorError, match="nonnegative .got nan"):
+            call(index, lambda d: math.nan)
+        with pytest.raises(EstimatorError, match="nonnegative .got -1.0"):
+            call(index, lambda d: -1.0)
+        # Still answered: inf, 0.0, and whatever float() coerces.
+        for accepted in (math.inf, 0.0, "0.5"):
+            assert call(index, lambda d: accepted) == \
+                call(reference, lambda d: float(accepted))
+
+
+def _padded_layouts(flavor, tmp_path, backend="python"):
     """One sketch set plus 18 trailing nodes with empty slices, saved
     single-file and over 6 shards of 11 nodes: shard 4 ends in empty
     node slices and shard 5 is empty.  Both mapped, serial kernels."""
@@ -494,7 +526,7 @@ def _padded_layouts(flavor, tmp_path):
     padded.save(tmp_path / "padded-sharded", shards=6)
     return tuple(
         AdsIndex.load(
-            tmp_path / name, mmap=True, backend="python", kernel_workers=1
+            tmp_path / name, mmap=True, backend=backend, kernel_workers=1
         )
         for name in ("padded.adsidx", "padded-sharded")
     )
@@ -509,6 +541,45 @@ def _sweep_script(index):
         index.closeness_centrality(alpha=harmonic_kernel()),
         index.neighborhood_function(),
     )
+
+
+PAIRS = [(0, 7), (21, 47), (47, 60), (3, 3), (40, 2)]
+
+
+def _pair_script(index):
+    """Every similarity / distance-oracle op (bottom-k indexes)."""
+    return (
+        index.pairs_distance_estimate(PAIRS),
+        index.pairs_neighborhood_jaccard(PAIRS, 2.0),
+        index.pairs_union_size_estimate(PAIRS, 2.0),
+        index.pairs_closeness_similarity(PAIRS),
+        index.most_similar(7, count=5, d=2.0),
+    )
+
+
+def _node_script(index):
+    """Every per-node reader, on labels in three shards of the padded
+    layouts plus one (60) whose slice is empty."""
+    labels = (0, 7, 21, 47, 60)
+
+    def beta(node):
+        return 1.5 if node % 2 else 0.5
+
+    answers = (
+        [index.node_cardinality_at(v, d)
+         for v in labels for d in (0.0, 1.0, math.inf)],
+        index.nodes_cardinality_at(labels, 2.0),
+        [index.node_neighborhood_function(v) for v in labels],
+        [index.node_closeness_centrality(v, **kwargs)
+         for v in labels
+         for kwargs in ({"classic": True}, {"alpha": harmonic_kernel()},
+                        {"beta": beta})],
+        index.closeness_centrality(beta=beta),
+        [index[v].entries for v in labels[:4]],
+        # Node rows 5..30 lie in three shards of 11 nodes.
+        index.accumulate_neighborhood_jumps({}, 5, 30),
+    )
+    return answers + (_pair_script(index) if index.flavor == "bottomk" else ())
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -534,16 +605,111 @@ class TestSegmentViews:
         monkeypatch.setattr(ShardedColumn, "__getitem__", counting)
         answers = _sweep_script(sharded)
         monkeypatch.undo()
-        # Two slices (dist, hip) per nonempty shard, once per views
-        # lifetime; the parent made ~6 integer calls per node per
-        # cardinality sweep.
-        assert calls == {"int": 0, "slice": 2 * 5}
+        # One slice per entry column per nonempty shard, once per
+        # views lifetime (a segment carries every column: the per-node
+        # reads share it); indexing the column directly made ~6 integer
+        # calls per node per cardinality sweep.
+        assert calls == {"int": 0, "slice": len(ENTRY_COLUMNS[flavor]) * 5}
         segments = sharded._kernel_views().segments
         assert len(segments) == 5
         assert all(type(part.dist) is memoryview for part in segments)
         # Trailing empty node slices ride in the last nonempty shard.
         assert sum(len(part.offsets) - 1 for part in segments) == 66
         assert answers == _sweep_script(single)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_node_reads_never_index_the_sharded_column(
+        self, flavor, backend, tmp_path, monkeypatch
+    ):
+        # Point reads, the similarity ops and index[label] resolve a
+        # node to its shard's flat buffers once (Columns.locate), on
+        # either backend: no bisect probe or per-node slice goes
+        # through the ShardedColumn, and a node range spanning shards
+        # is walked segment by segment, not gathered into a copy.
+        single, sharded = _padded_layouts(flavor, tmp_path, backend)
+        assert sharded.backend == backend
+        assert isinstance(sharded._node, ShardedColumn)
+        calls = {"int": 0, "gather": 0}
+        getitem, gather = ShardedColumn.__getitem__, ShardedColumn._gather
+
+        def counting_getitem(self, item):
+            calls["int"] += not isinstance(item, slice)
+            return getitem(self, item)
+
+        def counting_gather(self, start, stop):
+            calls["gather"] += 1
+            return gather(self, start, stop)
+
+        monkeypatch.setattr(ShardedColumn, "__getitem__", counting_getitem)
+        monkeypatch.setattr(ShardedColumn, "_gather", counting_gather)
+        answers = _node_script(sharded)
+        monkeypatch.undo()
+        assert calls == {"int": 0, "gather": 0}
+        assert repr(answers) == repr(_node_script(single))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_pair_call_maps_only_the_shards_it_names(backend, tmp_path):
+    _, sharded = _padded_layouts("bottomk", tmp_path, backend)
+    assert sharded.mapped_shards == 0
+    # Nodes 0 and 7 share shard 0 (11 nodes per shard).
+    sharded.pairs_distance_estimate([(0, 7)])
+    assert sharded.mapped_shards == 1
+    sharded.pairs_neighborhood_jaccard([(7, 3)], 2.0)
+    assert sharded.node_cardinality_at(5, 1.0) > 0.0
+    assert sharded.mapped_shards == 1
+    sharded.pairs_closeness_similarity([(0, 21)])
+    assert sharded.mapped_shards == 2
+    sharded.cardinality_at(1.0)  # a whole-graph sweep maps the rest
+    assert sharded.mapped_shards == 5
+
+
+@requires_numpy
+class TestOneSimilarityImplementation:
+    """The similarity ops exist once, in ``kernels.pure``; a NumPy
+    index calls the same functions over the same segments."""
+
+    def test_numpy_kernel_has_no_similarity_section(self):
+        from repro.ads.kernels import np_kernel
+
+        for name in (
+            "prepare_similarity_views", "pairs_jaccard", "pairs_union_size",
+            "pairs_closeness_similarity", "pairs_distance", "similarity_scan",
+            "SimViews",
+        ):
+            assert not hasattr(np_kernel, name), name
+        assert not hasattr(pure, "prepare_similarity_views")
+
+    def test_pair_script_is_backend_and_layout_independent(self, tmp_path):
+        rng = random.Random(23)
+        batch = [(rng.randrange(48), rng.randrange(48)) for _ in range(8)]
+        batch = [(u, v) for u, v in batch if u != v] + [(47, 60)]
+        built = {}
+        for backend in ("python", "numpy"):
+            graph = CSRGraph.from_edges(
+                [(u, v) for u, v, _ in _graph(False).edges()],
+                directed=False, nodes=range(61),
+            )
+            built[backend] = (graph, AdsIndex.build(
+                graph, 4, family=HashFamily(99), backend=backend
+            ))
+        for stage in ("built", "updated"):
+            answers = set()
+            for backend, (graph, index) in built.items():
+                if stage == "updated":
+                    index.apply_edges(graph, batch)
+                flat = tmp_path / f"{stage}-{backend}.adsidx"
+                sharded = tmp_path / f"{stage}-{backend}-sharded"
+                index.save(flat)
+                index.save(sharded, shards=6)
+                for loaded in (
+                    index,
+                    AdsIndex.load(flat, mmap=True, backend=backend),
+                    AdsIndex.load(sharded, mmap=True, backend=backend),
+                ):
+                    assert loaded.backend == backend
+                    answers.add(repr(_pair_script(loaded)))
+            assert len(answers) == 1, stage
 
 
 # ----------------------------------------------------------------------
