@@ -40,7 +40,7 @@ from pathlib import Path
 
 from conftest import write_output
 from repro.ads import AdsIndex
-from repro.ads.index import shard_ranges
+from repro.ads.storage import shard_ranges
 from repro.graph import barabasi_albert_graph
 from repro.rand.hashing import HashFamily
 from repro.serve import QueryClient, RouterServer

@@ -19,8 +19,8 @@ Headline metrics (tracked by the CI regression gate):
 
 ``cardinality_batch_eager`` / ``..._mmap`` are reported but not held
 to 10x: the pure path is a C-level ``bisect`` per node on either
-layout (its segment views took the Python-level ``ShardedColumn``
-access per probe out of the sharded sweep, which is what the 13-17x
+layout (its segments took a Python-level shard lookup per probe out
+of the sharded sweep, which is what the 13-17x
 ``cardinality_batch_mmap`` of the committed series measured), so
 vectorising buys ~2-4x, not an order of magnitude -- the honest number
 is in the series.  ``REPRO_BENCH_NO_ASSERT=1`` opts out of the hard

@@ -31,10 +31,9 @@ REPO_ROOT = Path(__file__).parent.parent
 
 
 def _columns(index):
-    return (
-        index._offsets, index._node, index._dist, index._aux, index._hip,
-        index._cum_hip, index._node_tables,
-    )
+    # A built index is one segment over its owned arrays.
+    (part,) = index._segments.segments
+    return tuple(part[1:6]) + (index._cum_hip, index._node_tables)
 
 
 def _best_of(rounds, fn):

@@ -1,19 +1,27 @@
-"""``AdsIndex``: every node's sketch in parallel flat arrays.
+"""``AdsIndex``: every node's sketch in parallel flat columns.
 
 A sketch *set* built once is typically queried many times (Section 1's
 "build the sketches, then answer any C_{alpha,beta} query").  The legacy
 ``Dict[node, BaseADS]`` pays one Python object per entry plus one
 container per node; this index stores the whole set as flat columns
-in one pass and serves batch queries straight off them:
+in one pass and serves batch queries straight off them.  Node id i's
+sketch is one contiguous run of entries:
 
-* ``offsets`` (n+1): node id i's entries live at ``offsets[i]:offsets[i+1]``;
 * ``node`` / ``dist``: the entry itself -- a (node, distance) pair as
   in Section 2 -- in the scan total order (distance, tiebreak) within
-  every node's slice;
+  every node's run;
 * ``hip``: HIP adjusted weights, computed once at build time for every
   node in a single pass (Section 5) -- the estimator plumbing every
   batch query below reuses;
 * ``aux`` (k-mins / k-partition only): the permutation or bucket.
+
+The runs are held as *segments* (:class:`repro.ads.kernels.pure.Columns`):
+contiguous node ranges, each with its own flat column buffers and an
+``offsets`` column locating node i's run.  How many segments there are
+and what backs them (owned arrays, one mapped file, a mapped file per
+shard) is :mod:`repro.ads.storage`'s business, as are the file formats;
+this class holds the queries and the mutation and reads through
+``locate`` / ``locate_range`` / ``segments`` only.
 
 Rank and tiebreak are functions of ``(seed, node)``, so they are held
 once per *node* (:func:`~repro.ads.csr_cores.node_hash_tables`: handed
@@ -21,7 +29,7 @@ over by the build, derived from ``HashFamily(seed)`` on first need
 after a load) and gathered through the node column by the readers that
 want them; point, batch and sweep cardinality / closeness queries
 never touch them.  The column set and typecodes are
-:data:`repro.ads.mmap_io.ENTRY_COLUMNS`: 20 bytes per bottom-k entry.
+:data:`repro.ads.storage.ENTRY_COLUMNS`: 20 bytes per bottom-k entry.
 
 Queries: :meth:`cardinality_at` (all nodes at once),
 :meth:`neighborhood_function` (whole-graph ANF series),
@@ -30,33 +38,28 @@ node), all bit-identical to the per-node ``BaseADS`` estimators.
 Those whole-graph sweeps and the cum-hip materialisation run on a
 pluggable estimator kernel (:mod:`repro.ads.kernels`): the stdlib
 reference loops, or a NumPy backend that vectorises the same
-arithmetic over zero-copy views of these columns -- selected per index
+arithmetic over zero-copy views of the segments -- selected per index
 (``backend="auto"|"numpy"|"python"``, ``REPRO_BACKEND`` env override)
 and bit-identical across backends by construction.  Everything that
-reads *one node's* slice (point and batch reads, the pair queries,
+reads *one node's* run (point and batch reads, the pair queries,
 ``index[node]``, update records) reads it one way on any storage and
-backend: ``locate`` on the pure kernel's segments
-(:class:`repro.ads.kernels.pure.Columns`).
-:meth:`save` / :meth:`load` persist the columns as raw little/big-endian
-array bytes behind a checksummed JSON header (format ``ADSIDX02``;
-``ADSIDX01`` files are still read and converted), so an index built on
-a big graph is built once and served many times; ``load(path, mmap=True)`` skips the
-deserialisation copy entirely and serves queries off memory-mapped
-column views (:mod:`repro.ads.mmap_io`), mapping sharded layouts one
-shard at a time on first touch.  ``index[node]`` lazily materialises a
-legacy ``BaseADS`` object for full backward compatibility.
+backend: ``locate`` on the segments.
+:meth:`save` / :meth:`load` / :meth:`compact` delegate to the storage
+module: raw little/big-endian column bytes behind a checksummed JSON
+header (format ``ADSIDX02``; ``ADSIDX01`` files are still read and
+converted), so an index built on a big graph is built once and served
+many times; ``load(path, mmap=True)`` skips the deserialisation copy
+entirely and serves queries off memory-mapped column views, mapping
+sharded layouts one shard at a time on first touch.  ``index[node]``
+lazily materialises a legacy ``BaseADS`` object for full backward
+compatibility.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
 import math
-import os
-import sys
 import threading
-import zlib
 from array import array
 from bisect import bisect_right
 from itertools import repeat
@@ -74,8 +77,8 @@ from typing import (
     Union,
 )
 
-from repro._util import atomic_output, require
-from repro.ads import kernels
+from repro._util import require
+from repro.ads import kernels, storage
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.base import FLAVOR_CLASSES as _FLAVOR_CLASSES, BaseADS
 from repro.ads.csr_cores import (
@@ -85,15 +88,6 @@ from repro.ads.csr_cores import (
     records_to_entries,
 )
 from repro.ads.dynamic import UpdateResult, propagate_edge_insertions
-from repro.ads.mmap_io import (
-    ENTRY_COLUMNS,
-    OFFSETS_TYPECODE,
-    ShardMaps,
-    ShardSpec,
-    ShardedColumn,
-    expected_bytes,
-    map_file_columns,
-)
 from repro.ads.parallel import build_flat_entries_sharded
 from repro.ads.pruned_dijkstra import BuildStats
 from repro.errors import EstimatorError, ParameterError
@@ -101,170 +95,8 @@ from repro.estimators.statistics import closeness_centrality_estimate
 from repro.graph.csr import CSRGraph
 from repro.rand.hashing import HashFamily
 
-# (current, read-only predecessor) magic of each file kind.  Version 1
-# carried six 8-byte entry columns (below); it is converted on load and
-# never written.
-FORMAT_VERSION = 2
-_MAGICS = (b"ADSIDX02", b"ADSIDX01")
-_SHARD_MAGICS = (b"ADSSHD02", b"ADSSHD01")
-_V1_TYPECODES = ("q", "d", "d", "Q", "q", "d")  # node dist rank tb aux hip
-MANIFEST_NAME = "manifest.json"
-_MANIFEST_FORMAT = "adsidx-sharded"
 # Node ids are stored in four bytes.
 MAX_NODES = 1 << 31
-
-
-def _labels_digest(labels: Sequence[Hashable]) -> str:
-    """Stable fingerprint of the node label list (id order included).
-
-    Shard files embed it so a loader can reject shards that were built
-    against a different graph or interning order -- entry node ids are
-    global, so mixing shards from different builds would silently
-    mislabel entries otherwise.
-    """
-    payload = json.dumps(
-        list(labels), ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    """Atomically replace a sharded layout's ``manifest.json``."""
-    payload = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
-    with atomic_output(path) as handle:
-        handle.write(payload.encode("utf-8"))
-
-
-def shard_ranges(n: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ids ``0..n`` into *shards* contiguous, balanced ranges."""
-    require(shards >= 1, f"shards must be >= 1, got {shards}")
-    base, extra = divmod(n, shards)
-    ranges = []
-    start = 0
-    for i in range(shards):
-        stop = start + base + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def _read_exact(handle, count: int, path) -> bytes:
-    payload = handle.read(count)
-    if len(payload) != count:
-        raise EstimatorError(f"{path}: truncated file")
-    return payload
-
-
-def _write_header(handle, magic: bytes, header: dict) -> None:
-    """Magic, header length, header CRC32, then the JSON header padded
-    with spaces to a multiple of 8 so the columns start 8-aligned."""
-    payload = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    payload += b" " * (-len(payload) % 8)
-    handle.write(magic)
-    handle.write(len(payload).to_bytes(8, "little"))
-    handle.write(zlib.crc32(payload).to_bytes(8, "little"))
-    handle.write(payload)
-
-
-def _read_header(
-    handle, path, magics: Tuple[bytes, bytes], kind: str,
-    required: Sequence[str],
-) -> Tuple[int, dict]:
-    """``(format version, header)`` of an index or shard file.  The
-    header carries every *required* field; a version-2 header matched
-    its checksum and lists its columns' (``"crc32"``), which version 1
-    has none of (``None``)."""
-    got = handle.read(len(magics[0]))
-    if got not in magics:
-        raise EstimatorError(f"{path}: not an {kind} file")
-    version = FORMAT_VERSION - magics.index(got)
-    header_len = int.from_bytes(_read_exact(handle, 8, path), "little")
-    if not 0 < header_len <= (1 << 30):
-        raise EstimatorError(f"{path}: implausible header length")
-    if version == FORMAT_VERSION:
-        crc = int.from_bytes(_read_exact(handle, 8, path), "little")
-    header_bytes = _read_exact(handle, header_len, path)
-    if version == FORMAT_VERSION and zlib.crc32(header_bytes) != crc:
-        raise EstimatorError(f"{path}: header checksum mismatch")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise EstimatorError(f"{path}: corrupt header ({error})")
-    if not isinstance(header, dict):
-        raise EstimatorError(f"{path}: corrupt header (not an object)")
-    if version != FORMAT_VERSION:
-        header["crc32"] = None
-    missing = [field for field in (*required, "crc32") if field not in header]
-    if missing:
-        raise EstimatorError(f"{path}: corrupt header (missing {missing})")
-    return version, header
-
-
-def _file_layout(
-    path, version: int, header: dict, rows: int
-) -> Tuple[Tuple[str, ...], List[int]]:
-    """``(typecodes, counts)`` of the offsets column (for *rows* nodes)
-    and every entry column, in file order, once the header's counts and
-    checksum list are known to be sane."""
-    columns = ENTRY_COLUMNS.get(header["flavor"])
-    if columns is None:
-        raise EstimatorError(
-            f"{path}: corrupt header (flavor {header['flavor']!r})"
-        )
-    typecodes = (OFFSETS_TYPECODE,) + (
-        tuple(typecode for _, typecode in columns)
-        if version == FORMAT_VERSION else _V1_TYPECODES
-    )
-    entries, crcs = header["entries"], header.get("crc32")
-    if not (
-        type(rows) is int and type(entries) is int and min(rows, entries) >= 0
-        and (crcs is None or (
-            isinstance(crcs, list) and len(crcs) == len(typecodes)
-            and all(type(crc) is int for crc in crcs)
-        ))
-    ):
-        raise EstimatorError(f"{path}: corrupt header counts")
-    return typecodes, [rows + 1] + [entries] * (len(typecodes) - 1)
-
-
-def _read_columns(
-    handle, path, typecodes: Sequence[str], counts: Sequence[int],
-    header: dict,
-) -> List[array]:
-    """Read back-to-back columns into owned arrays, verifying the
-    header's per-column CRC32s (version 2) and correcting byte order."""
-    position = handle.tell()
-    if handle.seek(0, os.SEEK_END) - position < expected_bytes(
-        typecodes, counts
-    ):
-        raise EstimatorError(f"{path}: truncated file")
-    handle.seek(position)
-    crcs = header["crc32"]
-    columns = []
-    for i, (typecode, count) in enumerate(zip(typecodes, counts)):
-        column = array(typecode)
-        payload = _read_exact(handle, column.itemsize * count, path)
-        if crcs is not None and zlib.crc32(payload) != crcs[i]:
-            raise EstimatorError(f"{path}: column {i} checksum mismatch")
-        column.frombytes(payload)
-        if header["byteorder"] != sys.byteorder:
-            column.byteswap()
-        columns.append(column)
-    return columns
-
-
-def _convert_v1(columns: Sequence[array], flavor: str, path):
-    """A version-1 file's six entry columns as the current layout, plus
-    the dropped ``(rank, tiebreak)`` pair for the caller to hold against
-    the tables derived from the file's seed."""
-    node, dist, rank, tiebreak, aux, hip = columns
-    try:
-        converted = [dist, hip, array("I", node)]
-        if flavor != "bottomk":
-            converted.append(array("I", aux))
-    except OverflowError:
-        raise EstimatorError(f"{path}: entry node ids must lie in [0, n)")
-    return converted, (rank, tiebreak)
 
 
 def _pack_tables(tables) -> Tuple[array, List[array]]:
@@ -274,15 +106,6 @@ def _pack_tables(tables) -> Tuple[array, List[array]]:
     return array("Q", tiebreaks), [array("d", table) for table in ranks]
 
 
-def _buffer(column, lo: int = 0, hi: Optional[int] = None):
-    """``column[lo:hi]`` as a bytes-like object, copy-free for owned
-    arrays and in-shard mapped views."""
-    hi = len(column) if hi is None else hi
-    if isinstance(column, array):
-        column = memoryview(column)
-    return column[lo:hi]
-
-
 class _LabelIds(dict):
     """label -> node id; an unknown label is the query error itself."""
 
@@ -290,87 +113,11 @@ class _LabelIds(dict):
         raise EstimatorError(f"node {label!r} is not in the index")
 
 
-def _parse_manifest(manifest_path: Path) -> dict:
-    """Read and structurally validate a sharded-layout manifest.
-
-    Raises :class:`EstimatorError` for anything a corrupted or
-    hand-edited manifest could get wrong: bad JSON, wrong format tag,
-    missing fields, and shard ranges that do not tile ``0..n`` exactly.
-    """
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        raise EstimatorError(f"{manifest_path}: unreadable manifest ({error})")
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise EstimatorError(f"{manifest_path}: corrupt manifest ({error})")
-    if not isinstance(manifest, dict):
-        raise EstimatorError(f"{manifest_path}: manifest is not an object")
-    if manifest.get("format") != _MANIFEST_FORMAT:
-        raise EstimatorError(
-            f"{manifest_path}: not an {_MANIFEST_FORMAT} manifest "
-            f"(format={manifest.get('format')!r})"
-        )
-    if manifest.get("version") not in (1, FORMAT_VERSION):
-        raise EstimatorError(
-            f"{manifest_path}: unsupported manifest version "
-            f"{manifest.get('version')!r}"
-        )
-    for field in ("flavor", "k", "seed", "rank_sup", "n", "entries",
-                  "labels_digest", "shards"):
-        if field not in manifest:
-            raise EstimatorError(
-                f"{manifest_path}: manifest is missing {field!r}"
-            )
-    n, shards = manifest["n"], manifest["shards"]
-    if not (isinstance(n, int) and n >= 0 and isinstance(shards, list)
-            and isinstance(manifest["entries"], int)
-            and manifest["entries"] >= 0):
-        raise EstimatorError(f"{manifest_path}: corrupt manifest counts")
-    position = 0
-    for shard in shards:
-        if not isinstance(shard, dict):
-            raise EstimatorError(f"{manifest_path}: corrupt shard entry")
-        for field in ("file", "start", "stop", "entries"):
-            if field not in shard:
-                raise EstimatorError(
-                    f"{manifest_path}: shard entry is missing {field!r}"
-                )
-        start, stop = shard["start"], shard["stop"]
-        if not (isinstance(shard["entries"], int) and shard["entries"] >= 0):
-            raise EstimatorError(
-                f"{manifest_path}: corrupt shard entry count "
-                f"{shard['entries']!r}"
-            )
-        if not (isinstance(start, int) and isinstance(stop, int)
-                and start == position and stop >= start):
-            raise EstimatorError(
-                f"{manifest_path}: shard ranges must tile 0..{n} "
-                f"contiguously (got [{start}, {stop}) at position "
-                f"{position})"
-            )
-        if not isinstance(shard["file"], str) or "/" in shard["file"] or (
-            "\\" in shard["file"] or shard["file"].startswith(".")
-        ):
-            raise EstimatorError(
-                f"{manifest_path}: suspicious shard file name "
-                f"{shard['file']!r}"
-            )
-        position = stop
-    if position != n:
-        raise EstimatorError(
-            f"{manifest_path}: shard ranges cover 0..{position}, "
-            f"manifest claims n={n}"
-        )
-    return manifest
-
-
 class AdsIndex:
-    """All-nodes ADS storage in parallel flat arrays (see module docs).
+    """All-nodes ADS storage in parallel flat columns (see module docs).
 
     Build with :meth:`build`, reload with :meth:`load`; the raw
-    constructor wires pre-validated columns.
+    constructor wires pre-validated flat columns as one segment.
     """
 
     def __init__(
@@ -389,6 +136,26 @@ class AdsIndex:
         backend: str = "auto",
         kernel_workers=None,
     ):
+        self._init(
+            flavor, k, seed, labels,
+            kernels.pure.Columns.flat(
+                offsets, dist_column, hip_column, node_column, aux_column
+            ),
+            rank_sup, validate_columns, backend, kernel_workers,
+        )
+
+    @classmethod
+    def _from_segments(cls, *args) -> "AdsIndex":
+        """The index over ready segments (:meth:`_init`'s arguments),
+        as the storage module's loaders build them."""
+        index = cls.__new__(cls)
+        index._init(*args)
+        return index
+
+    def _init(
+        self, flavor, k, seed, labels, segments, rank_sup,
+        validate_columns, backend, kernel_workers,
+    ) -> None:
         if flavor not in _FLAVOR_CLASSES:
             raise ParameterError(
                 f"unknown flavor {flavor!r}; expected one of "
@@ -398,7 +165,7 @@ class AdsIndex:
         # The estimator kernel behind every batch query: the pure
         # reference loops, or the NumPy backend (bit-identical floats;
         # see repro.ads.kernels).  Resolved before validation -- the
-        # eager cum-hip pass below already runs on it.  _wire_kernel
+        # eager cum-hip pass below already runs on it.  set_kernel_workers
         # below wraps it in the process fan-out on explicit request.
         self._kernel_base = kernels.resolve(backend)
         self._kernel = self._kernel_base
@@ -410,65 +177,64 @@ class AdsIndex:
         self.rank_sup = float(rank_sup)
         self._labels = list(labels)
         self._ids = _LabelIds(zip(self._labels, range(len(self._labels))))
-        self._offsets = offsets
-        self._dist = dist_column
-        self._hip = hip_column
-        self._node = node_column
-        self._aux = aux_column
         # (tiebreaks, [ranks per permutation]) per node id; None until
         # a reader of ranks or tiebreaks first needs it.
         self._tables_cache: Optional[Tuple[array, List[array]]] = None
-        self._wrap_columns()
-        self._wire_kernel(kernel_workers)
-        # Validate the layout before walking it (a corrupted file must
-        # fail with EstimatorError, not an IndexError mid-computation).
-        self._check_node_count()
-        if len(offsets) != len(self._labels) + 1:
-            raise EstimatorError("offsets length must be n + 1")
-        columns = self._columns()
-        if len(columns) != len(ENTRY_COLUMNS[flavor]):
-            raise EstimatorError(
-                "an aux column belongs to k-mins / k-partition indexes only"
-            )
-        if len({len(c) for c in columns}) != 1:
-            raise EstimatorError("entry columns must have equal lengths")
-        if offsets[0] != 0 or offsets[-1] != len(hip_column):
-            raise EstimatorError("offsets must rise from 0 to the entry count")
-        if validate_columns:
-            # Full-column sanity scans.  mmap-backed loads skip these --
-            # walking every entry would page the whole file in, which is
-            # exactly what mmap=True exists to avoid; the header,
-            # manifest, and byte-length checks still ran, and the
-            # readers that look a node id up range-check it per slice.
-            if any(
-                offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)
-            ):
-                raise EstimatorError(
-                    "offsets must rise from 0 to the entry count"
-                )
-            if len(node_column) and max(node_column) >= len(self._labels):
-                raise EstimatorError("entry node ids must lie in [0, n)")
-            if aux_column is not None and len(aux_column) and (
-                max(aux_column) >= self.k
-            ):
-                raise EstimatorError("entry aux values must lie in [0, k)")
-            self._cum_cache: Optional[array] = self._compute_cum_hip()
-        else:
-            self._cum_cache = None
+        self._cum_cache: Optional[array] = None
+        self._cum_lock = threading.Lock()
         self.mmap_backed = False
         self._mmap_paths: frozenset = frozenset()
-        self._cum_lock = threading.Lock()
         self._materialised: Dict[Hashable, BaseADS] = {}
         # Dynamic-update bookkeeping: one delta-log entry per applied
         # batch, plus the node ids rewritten since the last compaction
         # (what compact() uses to pick the shards to refresh).
         self.delta_log: List[Dict[str, int]] = []
         self._dirty_ids: set = set()
-
-    def _columns(self) -> tuple:
-        """The entry columns in :data:`ENTRY_COLUMNS` (file) order."""
-        columns = (self._dist, self._hip, self._node)
-        return columns if self._aux is None else columns + (self._aux,)
+        self._set_segments(segments)
+        self.set_kernel_workers(kernel_workers)
+        # Validate the layout before walking it (a corrupted file must
+        # fail with EstimatorError, not an IndexError mid-computation).
+        # A lazily mapped shard is not touched: its loader held the
+        # file's header, offsets and size to the same rules.
+        self._check_node_count()
+        n = len(self._labels)
+        if segments.bounds[-1] != n:
+            raise EstimatorError("offsets length must be n + 1")
+        # Full-column sanity scans (offsets monotone, ids and aux values
+        # in range) are skipped by mmap-backed loads -- walking every
+        # entry would page the whole file in, which is exactly what
+        # mmap=True exists to avoid; the header, manifest, and
+        # byte-length checks still ran, and the readers that look a
+        # node id up range-check it per slice.
+        for part in () if segments.lazy else segments.segments:
+            if (part.aux is None) != (flavor == "bottomk"):
+                raise EstimatorError(
+                    "an aux column belongs to k-mins / k-partition "
+                    "indexes only"
+                )
+            columns = [column for column in part[2:6] if column is not None]
+            if len({len(column) for column in columns}) != 1:
+                raise EstimatorError("entry columns must have equal lengths")
+            offsets = part.offsets
+            if offsets[0] != 0 or offsets[-1] != len(part.hip) or (
+                validate_columns and any(
+                    offsets[i] > offsets[i + 1]
+                    for i in range(len(offsets) - 1)
+                )
+            ):
+                raise EstimatorError(
+                    "offsets must rise from 0 to the entry count"
+                )
+            if not validate_columns:
+                continue
+            if len(part.node) and max(part.node) >= n:
+                raise EstimatorError("entry node ids must lie in [0, n)")
+            if part.aux is not None and len(part.aux) and (
+                max(part.aux) >= self.k
+            ):
+                raise EstimatorError("entry aux values must lie in [0, k)")
+        if validate_columns:
+            self._cum_cache = self._compute_cum_hip()
 
     def _check_node_count(self) -> None:
         if len(self._labels) >= MAX_NODES:
@@ -498,14 +264,12 @@ class AdsIndex:
                     self._tables_cache = tables
         return tables
 
-    def _wrap_columns(self) -> None:
-        """(Re)wrap the current columns in the pure kernel's segments,
-        the one way queries read them on any storage and backend (maps
-        and copies nothing); drops the sweep views over the old ones."""
+    def _set_segments(self, segments) -> None:
+        """Adopt *segments* as the storage -- the one way queries read
+        the entry columns on any backing and backend -- and drop the
+        sweep views over the old ones."""
         self._views_cache: Optional[Any] = None
-        self._segments = kernels.pure.prepare_views(
-            self._offsets, self._dist, self._hip, self._node, self._aux
-        )
+        self._segments = segments
 
     def _entry_nodes(self, part, lo: int, hi: int):
         """``part.node[lo:hi]``, range-checked: a mapped load never
@@ -535,30 +299,29 @@ class AdsIndex:
 
     def _kernel_views(self):
         """The active kernel's prepared view for the whole-graph
-        sweeps.  The pure kernel sweeps the segments the per-node reads
-        go through, so a pure index holds one prepared view; the NumPy
-        kernel builds zero-copy ``frombuffer`` views of the sweep
-        columns (assembling sharded-mmap ones once), cached here."""
-        if self._kernel is kernels.pure:
-            return self._segments
+        sweeps, cached.  The pure kernel sweeps the segments the
+        per-node reads go through (its ``prepare_views`` hands them
+        back); the NumPy kernel builds zero-copy ``frombuffer`` views
+        of the sweep columns (assembling a sharded map's once)."""
         views = self._views_cache
         if views is None:
-            views = self._kernel.prepare_views(
-                self._offsets, self._dist, self._hip
-            )
+            views = self._kernel.prepare_views(self._segments)
             self._views_cache = views
         return views
 
-    def _wire_kernel(self, kernel_workers) -> None:
-        """Resolve the effective kernel-worker count and (re)wrap the
-        base kernel in the process fan-out dispatcher when > 1.
+    def set_kernel_workers(self, kernel_workers) -> None:
+        """(Re-)wire the kernel worker count, on construction and on a
+        live index: resolve the effective count and wrap the base
+        kernel in the process fan-out dispatcher when it is > 1.
 
         ``kernel_workers`` is an explicit count, or ``"auto"``/``None``
         for ``REPRO_KERNEL_WORKERS`` if set, else 1: the fan-out lost
         every measurement against the serial kernels, so nothing but an
         explicit request selects it
-        (:mod:`repro.ads.kernels.parallel`).  Results are bit-identical
-        at any worker count; only the wall-clock changes.
+        (:mod:`repro.ads.kernels.parallel`).  Queries in flight keep
+        the views they already hold, new queries see the new fan-out;
+        results are bit-identical at any worker count, only the
+        wall-clock changes.
         """
         workers = kernel_parallel.resolve_workers(kernel_workers)
         self.kernel_workers = workers
@@ -569,14 +332,6 @@ class AdsIndex:
         else:
             self._kernel = self._kernel_base
         self._views_cache = None
-
-    def set_kernel_workers(self, kernel_workers) -> None:
-        """Re-wire the kernel worker count on a live index.
-
-        Queries in flight keep the views they already hold, new
-        queries see the new fan-out.  Floats are unchanged either way.
-        """
-        self._wire_kernel(kernel_workers)
 
     def _compute_cum_hip(self) -> array:
         # Per-node running prefix sums of the HIP column: cardinality
@@ -695,46 +450,20 @@ class AdsIndex:
                 csr, k, family, flavor, method, stats, tables
             )
         rank_tables = tables[1]
-        offsets = array(OFFSETS_TYPECODE, bytes(8 * (len(labels) + 1)))
-        dist_column, hip_column = array("d"), array("d")
-        node_column = array("I")
-        aux_column = None if flavor == "bottomk" else array("I")
+        offsets = array(storage.OFFSETS_TYPECODE, bytes(8 * (len(labels) + 1)))
+        columns = [array(code) for code in storage.entry_typecodes(flavor)]
         for i, records in enumerate(per_node):
-            dist_column.extend([record[0] for record in records])
-            node_column.extend([record[2] for record in records])
-            if flavor == "kpartition":
-                aux_column.extend([record[4] for record in records])
-            elif flavor == "kmins":
-                aux_column.extend([record[5] for record in records])
-            # Section-5 adjusted weights, slice by slice: the one pass
-            # apply_edges re-runs over the slices it rewrites.
-            hip_column.extend(kernels.slice_hip_weights(
-                kernels.pure, flavor, k, records,
-                cls._rank_vectors(flavor, rank_tables, records),
-            ))
-            offsets[i + 1] = len(hip_column)
+            cls._pack_slice(
+                kernels.pure, flavor, k, rank_tables, records, columns
+            )
+            offsets[i + 1] = len(columns[0])
         index = cls(
-            flavor, k, family.seed, labels, offsets, dist_column,
-            hip_column, node_column, aux_column, backend=backend,
-            kernel_workers=kernel_workers,
+            flavor, k, family.seed, labels, offsets, *columns,
+            backend=backend, kernel_workers=kernel_workers,
         )
         # The tables the builders competed on, handed over.
         index._tables_cache = _pack_tables(tables)
         return index
-
-    @staticmethod
-    def _rank_vectors(
-        flavor: str, rank_tables: Sequence[Sequence[float]],
-        records: Sequence[Record],
-    ) -> Optional[List[List[float]]]:
-        """Each record's node's rank under all k permutations -- what
-        the k-mins HIP weights condition on; ``None`` for the flavors
-        whose weights need only the records' own ranks."""
-        if flavor != "kmins":
-            return None
-        return [
-            [table[record[2]] for table in rank_tables] for record in records
-        ]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -745,7 +474,7 @@ class AdsIndex:
 
     @property
     def num_entries(self) -> int:
-        return len(self._node)
+        return self._segments.entries
 
     @property
     def mapped_shards(self) -> Optional[int]:
@@ -755,23 +484,23 @@ class AdsIndex:
         notion does not apply; serving dashboards surface it to show a
         cold index warming up.
         """
-        return getattr(self._node, "mapped_shards", None)
+        return self._segments.mapped
 
     def format_stats(self) -> Dict[str, Any]:
         """What an entry costs: the storage format version, the bytes
         the entry columns take per entry, and this index's flat-array
         bytes per entry (offsets, the cum-hip cache and the per-node
         tables included once they exist)."""
-        typecodes = [typecode for _, typecode in ENTRY_COLUMNS[self.flavor]]
-        entry_bytes = expected_bytes(typecodes, [1] * len(typecodes))
+        typecodes = storage.entry_typecodes(self.flavor)
+        entry_bytes = storage.expected_bytes(typecodes, [1] * len(typecodes))
         entries = self.num_entries
-        held = 8 * len(self._offsets) + entry_bytes * entries
+        held = 8 * (self.num_nodes + 1) + entry_bytes * entries
         if self._cum_cache is not None:
             held += 8 * entries
         if self._tables_cache is not None:
             held += 8 * self.num_nodes * (1 + len(self._tables_cache[1]))
         return {
-            "format_version": FORMAT_VERSION,
+            "format_version": storage.FORMAT_VERSION,
             "entry_bytes": entry_bytes,
             "bytes_per_entry": round(held / max(1, entries), 3),
         }
@@ -812,9 +541,8 @@ class AdsIndex:
         )
 
     def _slice(self, label: Hashable) -> Tuple[int, int]:
-        # Offsets only: the serving layer's sketch size.
-        i = self._ids[label]
-        return self._offsets[i], self._offsets[i + 1]
+        # The entry bounds only: the serving layer's sketch size.
+        return self._segments.locate(self._ids[label])[1:]
 
     # ------------------------------------------------------------------
     # Batch queries
@@ -989,7 +717,8 @@ class AdsIndex:
             0 <= start <= stop <= n,
             f"node range [{start}, {stop}) must lie within [0, {n})",
         )
-        for part, lo, hi in self._segments.locate_range(start, stop):
+        for part, a, b in self._segments.locate_range(start, stop):
+            lo, hi = part.offsets[a], part.offsets[b]
             for d, weight in zip(part.dist[lo:hi], part.hip[lo:hi]):
                 if d <= 0.0:
                     continue
@@ -1454,21 +1183,41 @@ class AdsIndex:
             aux if self.flavor == "kmins" else repeat(None),
         ))
 
-    def _dirty_slice_weights(
-        self, dirty_records: Dict[int, List[Record]]
-    ) -> Dict[int, List[float]]:
-        """HIP weights for every dirty slice: the same
-        :func:`~repro.ads.kernels.slice_hip_weights` pass the build
-        ran, serially on the base kernel at any worker count (a few
-        milliseconds of a splice, and 3-4x that when fanned out)."""
-        rank_tables = self._node_tables[1]
-        return {
-            vid: kernels.slice_hip_weights(
-                self._kernel_base, self.flavor, self.k, records,
-                self._rank_vectors(self.flavor, rank_tables, records),
-            )
-            for vid, records in dirty_records.items()
-        }
+    @staticmethod
+    def _pack_slice(
+        kernel, flavor: str, k: int,
+        rank_tables: Sequence[Sequence[float]], records: Sequence[Record],
+        columns: Sequence[array],
+    ) -> List[float]:
+        """Append one node's slice -- builder *records* in scan order --
+        to the entry *columns* (file order) with its Section-5 adjusted
+        weights, which are returned: the inverse of
+        :meth:`_slice_records`, minus what the per-node tables hold.
+
+        The one HIP pass (:func:`~repro.ads.kernels.slice_hip_weights`):
+        the build runs it over every slice and ``apply_edges`` over the
+        ones it rewrites, serially on the base kernel at any worker
+        count (a few milliseconds of a splice, and 3-4x that when
+        fanned out).
+        """
+        columns[0].extend([record[0] for record in records])
+        columns[2].extend([record[2] for record in records])
+        rank_vectors = None
+        if flavor != "bottomk":
+            field = 4 if flavor == "kpartition" else 5
+            columns[3].extend([record[field] for record in records])
+            if flavor == "kmins":
+                # What the k-mins weights condition on: each record's
+                # node's rank under all k permutations.
+                rank_vectors = [
+                    [table[record[2]] for table in rank_tables]
+                    for record in records
+                ]
+        weights = kernels.slice_hip_weights(
+            kernel, flavor, k, records, rank_vectors
+        )
+        columns[1].extend(weights)
+        return weights
 
     def apply_edges(self, graph, edges: Iterable[Tuple]) -> UpdateResult:
         """Absorb an edge-insertion batch without a full rebuild.
@@ -1596,14 +1345,15 @@ class AdsIndex:
         re-run the O(entries) cum-hip pass on the next query.  An
         unmaterialised cache stays unmaterialised.
         """
-        old_offsets = self._offsets
-        old_columns = self._columns()
+        # Updates need owned columns: one segment.
+        (old,) = self._segments.segments
+        old_offsets = old.offsets
+        old_columns = [column for column in old[2:6] if column is not None]
         if self._cum_cache is not None:
-            old_columns += (self._cum_cache,)
-        dirty_weights = self._dirty_slice_weights(dirty_records)
-        new_offsets = array(OFFSETS_TYPECODE, bytes(8 * (new_n + 1)))
-        new_columns = [array(old.typecode) for old in old_columns]
-        aux_field = 4 if self.flavor == "kpartition" else 5
+            old_columns.append(self._cum_cache)
+        rank_tables = self._node_tables[1]
+        new_offsets = array(storage.OFFSETS_TYPECODE, bytes(8 * (new_n + 1)))
+        new_columns = [array(column.typecode) for column in old_columns]
         for i in range(new_n):
             records = dirty_records.get(i)
             if records is None:
@@ -1612,36 +1362,28 @@ class AdsIndex:
                 # slice.
                 if i < old_n:
                     lo, hi = old_offsets[i], old_offsets[i + 1]
-                    for column, old in zip(new_columns, old_columns):
-                        column.extend(old[lo:hi])
+                    for column, source in zip(new_columns, old_columns):
+                        column.extend(source[lo:hi])
             else:
-                weights = dirty_weights[i]
-                fills = [
-                    [record[0] for record in records],
-                    weights,
-                    [record[2] for record in records],
-                ]
-                if self._aux is not None:
-                    fills.append([record[aux_field] for record in records])
+                weights = self._pack_slice(
+                    self._kernel_base, self.flavor, self.k, rank_tables,
+                    records, new_columns,
+                )
                 if self._cum_cache is not None:
                     running = 0.0
                     prefix = []
                     for weight in weights:
                         running += weight
                         prefix.append(running)
-                    fills.append(prefix)
-                for column, values in zip(new_columns, fills):
-                    column.extend(values)
+                    new_columns[-1].extend(prefix)
             new_offsets[i + 1] = len(new_columns[0])
-        self._offsets = new_offsets
         if self._cum_cache is not None:
             self._cum_cache = new_columns.pop()
-        self._dist, self._hip, self._node = new_columns[:3]
-        if self._aux is not None:
-            self._aux = new_columns[3]
         # The spliced columns are new objects; any kernel views over
         # the old ones are stale.
-        self._wrap_columns()
+        self._set_segments(
+            kernels.pure.Columns.flat(new_offsets, *new_columns)
+        )
 
     def compact(
         self, path: Union[str, Path], shards: Optional[int] = None
@@ -1671,58 +1413,14 @@ class AdsIndex:
                 "this index is memory-mapped read-only; reload it with "
                 "mmap=False before compacting"
             )
-        path = Path(path)
-        manifest_path: Optional[Path] = None
-        directory = path
-        if path.is_dir():
-            candidate = path / MANIFEST_NAME
-            if candidate.exists():
-                manifest_path = candidate
-        elif path.name == MANIFEST_NAME and path.exists():
-            manifest_path = path
-            directory = path.parent
-        flushed = len(self.delta_log)
-        info: Dict[str, Any]
-        if manifest_path is not None:
-            manifest = _parse_manifest(manifest_path)
-            shard_entries = manifest["shards"]
-            # A layout this index cannot patch shard by shard (other
-            # parameters or labels, or format version 1) is rewritten.
-            patchable = self._layout_mismatch(manifest) is None
-            if patchable:
-                starts = [shard["start"] for shard in shard_entries]
-                rewritten = sorted({
-                    bisect_right(starts, vid) - 1 for vid in self._dirty_ids
-                })
-                for shard_index in rewritten:
-                    self.write_shard(directory, shard_index)
-            else:
-                self.save(directory, shards=len(shard_entries))
-                rewritten = list(range(len(shard_entries)))
-            info = {
-                "layout": "sharded",
-                "full_rewrite": not patchable,
-                "rewritten_shards": rewritten,
-                "total_shards": len(shard_entries),
-            }
-        elif shards is not None:
-            self.save(path, shards=shards)
-            info = {
-                "layout": "sharded",
-                "full_rewrite": True,
-                "rewritten_shards": list(range(shards)),
-                "total_shards": shards,
-            }
-        else:
-            self.save(path)
-            info = {"layout": "single", "full_rewrite": True}
+        info = storage.compact(self, Path(path), shards, self._dirty_ids)
+        info["flushed_batches"] = len(self.delta_log)
         self._dirty_ids.clear()
         self.delta_log.clear()
-        info["flushed_batches"] = flushed
         return info
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Persistence (the formats live in repro.ads.storage)
     # ------------------------------------------------------------------
     def save(
         self, path: Union[str, Path], shards: Optional[int] = None
@@ -1734,9 +1432,10 @@ class AdsIndex:
         With ``shards=N`` *path* becomes a **directory** holding a
         ``manifest.json`` plus N shard files, each carrying a contiguous
         node-id range's slice of every column -- the layout
-        :meth:`write_shard` can refresh one shard of at a time.  Node
-        labels must be ints or strings (anything JSON round-trips
-        exactly) in both layouts.
+        :meth:`write_shard` can refresh one shard of at a time; shard
+        files a wider layout left in that directory are removed once
+        the new manifest has landed.  Node labels must be ints or
+        strings (anything JSON round-trips exactly) in both layouts.
 
         Args:
             path: Output file (or directory, with ``shards``).
@@ -1747,52 +1446,19 @@ class AdsIndex:
             EstimatorError: non-int/str node labels.
             OSError: unwritable destination.
         """
-        self._check_saveable_labels()
-        if shards is not None:
-            self._save_sharded(Path(path), shards)
-            return
-        self._guard_mmap_overwrite(Path(path))
-        # Crash-atomic: the bytes land in a same-directory temp file and
-        # replace *path* only once fsync'd, so a crash mid-save can
-        # never leave a torn index behind.
-        with atomic_output(path) as handle:
-            self._write_single(handle)
-
-    def _file_header(self, columns: Sequence, **fields) -> dict:
-        """The JSON header in front of *columns* (offsets first), their
-        CRC32s included; *fields* are the file kind's own."""
-        return {
-            "flavor": self.flavor,
-            "k": self.k,
-            "seed": self.seed,
-            "rank_sup": self.rank_sup,
-            "n": self.num_nodes,
-            "byteorder": sys.byteorder,
-            "crc32": [zlib.crc32(column) for column in columns],
-            **fields,
-        }
-
-    def _write_single(self, handle) -> None:
-        """Serialise the single-file layout onto an open binary handle."""
-        columns = [_buffer(column)
-                   for column in (self._offsets,) + self._columns()]
-        _write_header(handle, _MAGICS[0], self._file_header(
-            columns, entries=self.num_entries, labels=self._labels,
-        ))
-        for column in columns:
-            handle.write(column)
+        storage.save(self, path, shards)
 
     def to_bytes(self) -> bytes:
         """The single-file layout as in-memory bytes (what :meth:`save`
         would write), ready to ship to a resyncing replica."""
-        self._check_saveable_labels()
         if self.mmap_backed:
             raise EstimatorError(
                 "to_bytes needs an eagerly loaded index: memory-mapped "
                 "columns are views, reload with mmap=False first"
             )
+        storage.check_saveable_labels(self)
         buffer = io.BytesIO()
-        self._write_single(buffer)
+        storage.write_single(self, buffer)
         return buffer.getvalue()
 
     @classmethod
@@ -1803,14 +1469,15 @@ class AdsIndex:
         checksums verified)."""
         kernels.resolve(backend)
         kernel_parallel.parse_workers(kernel_workers)
-        return cls._read_single(
-            io.BytesIO(data), "<index bytes>", False, backend, kernel_workers
+        return storage.read_single(
+            cls, io.BytesIO(data), "<index bytes>", False, backend,
+            kernel_workers,
         )
 
     def labels_digest(self) -> str:
         """Fingerprint of the node label list (id order included) --
         what topology validation compares across router and workers."""
-        return _labels_digest(self._labels)
+        return storage.labels_digest(self._labels)
 
     def content_digest(self) -> str:
         """Fingerprint of the full sketch state: parameters, labels,
@@ -1828,116 +1495,7 @@ class AdsIndex:
                 "content_digest needs an eagerly loaded index; reload "
                 "with mmap=False"
             )
-        digest = hashlib.blake2b(digest_size=16)
-        params = json.dumps(
-            [self.flavor, self.k, self.seed, self.rank_sup,
-             self.num_nodes, self.num_entries, sys.byteorder],
-            ensure_ascii=False, separators=(",", ":"),
-        ).encode("utf-8")
-        digest.update(params)
-        digest.update(_labels_digest(self._labels).encode("ascii"))
-        for column in (self._offsets,) + self._columns():
-            digest.update(column)
-        return digest.hexdigest()
-
-    def _check_saveable_labels(self) -> None:
-        self._check_node_count()
-        for label in self._labels:
-            if not isinstance(label, (int, str)) or isinstance(label, bool):
-                raise EstimatorError(
-                    "AdsIndex.save supports int/str node labels, got "
-                    f"{type(label).__name__}"
-                )
-
-    def _guard_mmap_overwrite(self, destination: Path) -> None:
-        """Refuse to write a file this index's columns are mapped from.
-
-        Truncating a memory-mapped file makes the next column read a
-        SIGBUS -- a hard interpreter crash, not an exception -- and the
-        write would be reading its own half-clobbered source anyway.
-        Save to a different path, or reload eagerly first.
-        """
-        if not self._mmap_paths:
-            return
-        try:
-            resolved = destination.resolve()
-        except OSError:  # pragma: no cover - unresolvable exotic paths
-            return
-        if resolved in self._mmap_paths:
-            raise EstimatorError(
-                f"{destination}: this index is memory-mapped from that "
-                "file; save to a different path or reload with "
-                "mmap=False before overwriting it"
-            )
-
-    # -- sharded directory layout --------------------------------------
-    def _save_sharded(self, directory: Path, shards: int) -> None:
-        require(shards >= 1, f"shards must be >= 1, got {shards}")
-        directory.mkdir(parents=True, exist_ok=True)
-        digest = _labels_digest(self._labels)
-        manifest_shards = []
-        for i, (start, stop) in enumerate(shard_ranges(len(self._labels),
-                                                       shards)):
-            file_name = f"shard-{i:05d}.adsshd"
-            self._write_shard_file(directory / file_name, start, stop, digest)
-            manifest_shards.append({
-                "file": file_name,
-                "start": start,
-                "stop": stop,
-                "entries": self._offsets[stop] - self._offsets[start],
-            })
-        manifest = {
-            "format": _MANIFEST_FORMAT,
-            "version": FORMAT_VERSION,
-            "flavor": self.flavor,
-            "k": self.k,
-            "seed": self.seed,
-            "rank_sup": self.rank_sup,
-            "n": self.num_nodes,
-            "entries": self.num_entries,
-            "labels_digest": digest,
-            "shards": manifest_shards,
-        }
-        # The manifest lands last and atomically: a crashed save leaves
-        # either the old manifest or orphan shard files with none, never
-        # a manifest pointing at torn shards.
-        _write_manifest(directory / MANIFEST_NAME, manifest)
-
-    def _write_shard_file(
-        self, path: Path, start: int, stop: int, digest: str
-    ) -> None:
-        lo, hi = self._offsets[start], self._offsets[stop]
-        offsets = array(OFFSETS_TYPECODE, (self._offsets[i] - lo
-                                           for i in range(start, stop + 1)))
-        columns = [offsets] + [
-            _buffer(column, lo, hi) for column in self._columns()
-        ]
-        self._guard_mmap_overwrite(path)
-        with atomic_output(path) as handle:
-            _write_header(handle, _SHARD_MAGICS[0], self._file_header(
-                columns, start=start, stop=stop, entries=hi - lo,
-                labels=self._labels[start:stop], labels_digest=digest,
-            ))
-            for column in columns:
-                handle.write(column)
-
-    def _layout_mismatch(self, manifest: dict) -> Optional[str]:
-        """Why one shard of the layout *manifest* describes cannot be
-        refreshed from this index (``None`` when it can): the format
-        version, sketch parameters and labels must all be this
-        index's, because entry node ids are global."""
-        for field, mine in (
-            ("version", FORMAT_VERSION),
-            ("flavor", self.flavor), ("k", self.k), ("seed", self.seed),
-            ("rank_sup", self.rank_sup), ("n", self.num_nodes),
-            ("labels_digest", _labels_digest(self._labels)),
-        ):
-            if manifest[field] != mine:
-                return (
-                    f"layout was built with {field}={manifest[field]!r}, "
-                    f"index has {mine!r}"
-                )
-        return None
+        return storage.content_digest(self)
 
     def write_shard(
         self, directory: Union[str, Path], shard_index: int
@@ -1950,28 +1508,7 @@ class AdsIndex:
         global); only that shard's file and the manifest entry counts
         are rewritten.
         """
-        directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        manifest = _parse_manifest(manifest_path)
-        self._check_saveable_labels()
-        mismatch = self._layout_mismatch(manifest)
-        if mismatch is not None:
-            raise EstimatorError(f"{manifest_path}: {mismatch}")
-        entries = manifest["shards"]
-        if not 0 <= shard_index < len(entries):
-            raise ParameterError(
-                f"shard_index {shard_index} outside [0, {len(entries)})"
-            )
-        shard = entries[shard_index]
-        start, stop = shard["start"], shard["stop"]
-        self._write_shard_file(
-            directory / shard["file"], start, stop, manifest["labels_digest"]
-        )
-        shard["entries"] = self._offsets[stop] - self._offsets[start]
-        manifest["entries"] = sum(s["entries"] for s in entries)
-        # Shard then manifest, both atomic: at every crash point the
-        # manifest on disk describes complete shard files.
-        _write_manifest(manifest_path, manifest)
+        storage.write_shard(self, Path(directory), shard_index)
 
     @classmethod
     def load(
@@ -2002,7 +1539,7 @@ class AdsIndex:
                 corrected when the file came from a different-endian
                 machine).  With ``True``, load time is O(header +
                 manifest): columns become zero-copy views over
-                memory-mapped file bytes (:mod:`repro.ads.mmap_io`),
+                memory-mapped file bytes (:mod:`repro.ads.storage`),
                 sharded layouts map each shard lazily on first touch,
                 and the HIP prefix-sum column is computed on first
                 batch-query use.  Every query returns bit-identical
@@ -2026,207 +1563,9 @@ class AdsIndex:
             >>> AdsIndex.load(path, mmap=True).node_cardinality_at(0, 1.0)
             2.0
         """
-        # Validate the backend request up front: the constructor call
-        # below sits inside a corrupt-header guard, and a bad backend
+        # Validate the backend request up front: the loaders construct
+        # the index inside a corrupt-header guard, and a bad backend
         # argument is a caller error, not file corruption.
         kernels.resolve(backend)
         kernel_parallel.parse_workers(kernel_workers)
-        path = Path(path)
-        if path.is_dir():
-            path = path / MANIFEST_NAME
-        if path.name == MANIFEST_NAME:
-            return cls._load_sharded(path, mmap, backend, kernel_workers)
-        with open(path, "rb") as handle:
-            return cls._read_single(
-                handle, path, mmap, backend, kernel_workers
-            )
-
-    @classmethod
-    def _read_single(
-        cls, handle, path, mmap: bool, backend: str, kernel_workers
-    ) -> "AdsIndex":
-        """Parse the single-file layout from an open binary handle."""
-        version, header = _read_header(
-            handle, path, _MAGICS, "AdsIndex",
-            ("flavor", "k", "seed", "rank_sup", "labels", "n", "entries",
-             "byteorder"),
-        )
-        typecodes, counts = _file_layout(path, version, header, header["n"])
-        # Zero-copy views need the current layout in native byte order;
-        # anything else (foreign-endian, version 1) loads eagerly.
-        mmap = mmap and version == FORMAT_VERSION and (
-            header["byteorder"] == sys.byteorder
-        )
-        if mmap:
-            columns = map_file_columns(
-                path, handle.fileno(), handle.tell(), counts, typecodes
-            )
-        else:
-            columns = _read_columns(handle, path, typecodes, counts, header)
-        index = cls._assemble(
-            path, version, header, header["labels"], columns[0], columns[1:],
-            mmap, backend, kernel_workers,
-        )
-        if mmap:
-            index._mmap_paths = frozenset({path.resolve()})
-        return index
-
-    @classmethod
-    def _assemble(
-        cls, path, version: int, params: dict, labels, offsets, columns,
-        mmap: bool, backend: str, kernel_workers,
-    ) -> "AdsIndex":
-        """Construct the index a file (or sharded layout) described,
-        converting version-1 columns and holding their stored ranks and
-        tiebreaks against the tables the seed derives."""
-        legacy = None
-        if version != FORMAT_VERSION:
-            columns, legacy = _convert_v1(columns, params["flavor"], path)
-        try:
-            index = cls(
-                params["flavor"], params["k"], params["seed"], labels,
-                offsets, *columns, rank_sup=params["rank_sup"],
-                validate_columns=not mmap, backend=backend,
-                kernel_workers=kernel_workers,
-            )
-        except (ParameterError, TypeError, ValueError) as error:
-            # Parseable-but-nonsensical header fields (bogus flavor,
-            # k <= 0, non-numeric values): corruption, not a caller bug.
-            raise EstimatorError(f"{path}: corrupt header ({error})")
-        if legacy is not None:
-            # Converted files load eagerly: flat columns, one segment.
-            (part,) = index._segments.segments
-            tiebreaks = index._node_tables[0]
-            if legacy != (
-                array("d", index._slice_ranks(part, 0, index.num_entries)[1]),
-                array("Q", map(tiebreaks.__getitem__, index._node)),
-            ):
-                raise EstimatorError(
-                    f"{path}: stored ranks / tiebreaks are not the ones "
-                    f"seed {index.seed} assigns to these labels"
-                )
-        index.mmap_backed = mmap
-        return index
-
-    @classmethod
-    def _load_sharded(
-        cls, manifest_path: Path, mmap: bool = False,
-        backend: str = "auto", kernel_workers=None,
-    ) -> "AdsIndex":
-        """Assemble an index from a sharded layout.
-
-        Eager mode concatenates every shard's columns into owned
-        arrays.  ``mmap=True`` reads only the manifest, the per-shard
-        JSON headers, and the small per-node offset columns; the entry
-        columns become :class:`~repro.ads.mmap_io.ShardedColumn` views
-        that map each shard file on the first query touching it.
-        """
-        manifest = _parse_manifest(manifest_path)
-        n = manifest["n"]
-        offsets = array(OFFSETS_TYPECODE, [0])
-        typecodes, _ = _file_layout(
-            manifest_path, manifest["version"], manifest, n
-        )
-        columns = [array(typecode) for typecode in typecodes[1:]]
-        shard_specs: List[ShardSpec] = []
-        labels: List[Hashable] = []
-        base = 0
-        for shard in manifest["shards"]:
-            shard_path = manifest_path.parent / shard["file"]
-            try:
-                handle = open(shard_path, "rb")
-            except OSError as error:
-                raise EstimatorError(
-                    f"{manifest_path}: missing shard file ({error})"
-                )
-            with handle:
-                version, header = _read_header(
-                    handle, shard_path, _SHARD_MAGICS, "AdsIndex shard",
-                    ("flavor", "k", "seed", "rank_sup", "n", "start", "stop",
-                     "labels_digest", "labels", "entries", "byteorder"),
-                )
-                claimed = {
-                    field: header[field]
-                    for field in ("flavor", "k", "seed", "rank_sup", "n",
-                                  "start", "stop", "labels_digest")
-                }
-                claimed["version"] = version
-                expected = {
-                    "flavor": manifest["flavor"], "k": manifest["k"],
-                    "seed": manifest["seed"],
-                    "rank_sup": manifest["rank_sup"], "n": n,
-                    "start": shard["start"], "stop": shard["stop"],
-                    "labels_digest": manifest["labels_digest"],
-                    "version": manifest["version"],
-                }
-                if claimed != expected:
-                    raise EstimatorError(
-                        f"{shard_path}: shard/manifest mismatch "
-                        f"(shard claims {claimed}, manifest expects "
-                        f"{expected})"
-                    )
-                span = shard["stop"] - shard["start"]
-                _, counts = _file_layout(shard_path, version, header, span)
-                count = header["entries"]
-                if mmap and (
-                    version != FORMAT_VERSION
-                    or header["byteorder"] != sys.byteorder
-                ):
-                    # Only current-layout, native-endian shards can be
-                    # viewed zero-copy; reload the whole layout eagerly
-                    # (converting / byteswapping).
-                    return cls._load_sharded(
-                        manifest_path, False, backend, kernel_workers
-                    )
-                if not (isinstance(header["labels"], list)
-                        and len(header["labels"]) == span):
-                    raise EstimatorError(
-                        f"{shard_path}: labels do not cover its "
-                        f"{span}-node range"
-                    )
-                if mmap:
-                    shard_offsets = _read_columns(
-                        handle, shard_path, typecodes[:1], counts[:1], header
-                    )[0]
-                    data_start = handle.tell()
-                    if os.fstat(handle.fileno()).st_size < (
-                        data_start + expected_bytes(typecodes[1:], counts[1:])
-                    ):
-                        raise EstimatorError(f"{shard_path}: truncated file")
-                    shard_specs.append(
-                        ShardSpec(shard_path, data_start, count, base)
-                    )
-                else:
-                    shard_offsets, *shard_columns = _read_columns(
-                        handle, shard_path, typecodes, counts, header
-                    )
-                    for column, part in zip(columns, shard_columns):
-                        column.extend(part)
-                if shard_offsets[0] != 0 or shard_offsets[-1] != count:
-                    raise EstimatorError(
-                        f"{shard_path}: shard offsets do not span its "
-                        "entries"
-                    )
-                offsets.extend(value + base for value in shard_offsets[1:])
-                labels.extend(header["labels"])
-                base += count
-        if _labels_digest(labels) != manifest["labels_digest"]:
-            raise EstimatorError(
-                f"{manifest_path}: assembled labels do not match the "
-                "manifest digest"
-            )
-        if mmap:
-            maps = ShardMaps(shard_specs, typecodes[1:])
-            columns = [
-                ShardedColumn(maps, position, typecode)
-                for position, typecode in enumerate(typecodes[1:])
-            ]
-        index = cls._assemble(
-            manifest_path, manifest["version"], manifest, labels, offsets,
-            columns, mmap, backend, kernel_workers,
-        )
-        if mmap:
-            index._mmap_paths = frozenset(
-                spec.path.resolve() for spec in shard_specs
-            )
-        return index
+        return storage.load(cls, Path(path), mmap, backend, kernel_workers)

@@ -18,11 +18,11 @@ Both kernels expose one module-level API (``NAME``, ``prepare_views``,
 functions), so the index dispatches by holding a module reference.
 
 Everything *per node* exists once, in :mod:`~repro.ads.kernels.pure`,
-whatever the backend: the segment views every reader goes through
-(:class:`~repro.ads.kernels.pure.Columns`) and the similarity ops.  On
-slices of about k(1 + ln n - ln k) entries a NumPy mirror of those was
-level with the loops on flat layouts and ahead on a sharded map only
-by the ``ShardedColumn`` indexing the segments removed, so it is gone.
+whatever the backend: the segments every reader goes through
+(:class:`~repro.ads.kernels.pure.Columns`, the index's storage as
+:mod:`repro.ads.storage` builds it and both kernels' ``prepare_views``
+take it) and the similarity ops; a NumPy mirror of those was level with
+the loops on slices of about k(1 + ln n - ln k) entries, so it is gone.
 
 **Float contract.**  The NumPy kernel is not merely "close": it
 performs every floating-point addition in the same left-to-right

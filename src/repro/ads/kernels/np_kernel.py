@@ -10,15 +10,17 @@ slice and exist once, in :mod:`repro.ads.kernels.pure`.
 
 Zero-copy views
 ---------------
-``prepare_views`` wraps each flat column in an ``np.frombuffer`` view:
+``prepare_views`` takes the index's segments
+(:class:`repro.ads.kernels.pure.Columns`, the storage every reader
+sees) and wraps the sweep columns in ``np.frombuffer`` views:
 
-* eager ``array.array`` columns and single-file-mmap ``memoryview``
-  columns are viewed in place -- no bytes move;
-* a sharded-mmap :class:`~repro.ads.mmap_io.ShardedColumn` is
-  *assembled* once from its per-shard zero-copy views into one owned
-  ndarray (batch sweeps touch every shard anyway, so the one-time
-  concatenation is the price of serving them at array speed; per-node
-  reads go through the pure kernel's segments and never pay it).
+* a lone segment -- the owned arrays of an eager index, the mapped
+  views of a single-file load -- is viewed in place, no bytes move;
+* several segments (a sharded map, one per nonempty shard file) are
+  *assembled* once into one owned ndarray per column, offsets shifted
+  by each segment's entry base (batch sweeps touch every shard anyway,
+  so the one-time concatenation is the price of serving them at array
+  speed; per-node reads go through the segments and never pay it).
 
 The :class:`Views` object also lazily caches two derived artifacts the
 hot paths reuse across calls: the per-distance sort of the entry
@@ -59,7 +61,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import EstimatorError
-from repro.ads.mmap_io import ShardedColumn
 
 NAME = "numpy"
 
@@ -73,15 +74,9 @@ _CHUNK_CELLS = 8_000_000
 _GROUP_SCAN_CAP = 64
 
 
-def _as_ndarray(column, dtype) -> np.ndarray:
-    """A zero-copy ndarray over *column* (assembled for sharded mmaps)."""
-    if isinstance(column, ShardedColumn):
-        views = [np.frombuffer(view, dtype=dtype)
-                 for view in column.shard_views()]
-        if not views:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(views)
-    return np.frombuffer(column, dtype=dtype)
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """A lone view as it is (zero-copy), several assembled into one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class Views:
@@ -92,10 +87,16 @@ class Views:
         "_dist_sorted", "_unique_dist", "_padded_plan",
     )
 
-    def __init__(self, offsets, dist, hip):
-        self.offsets = _as_ndarray(offsets, np.int64)
-        self.dist = _as_ndarray(dist, np.float64)
-        self.hip = _as_ndarray(hip, np.float64)
+    def __init__(self, columns):
+        parts = columns.segments
+        offsets = [np.frombuffer(parts[0].offsets, dtype=np.int64)]
+        for part in parts[1:]:
+            # Later segments restart at 0: shift to global entry slots.
+            own = np.frombuffer(part.offsets, dtype=np.int64)
+            offsets.append(own[1:] + part.base)
+        self.offsets = _joined(offsets)
+        self.dist = _joined([np.frombuffer(part.dist) for part in parts])
+        self.hip = _joined([np.frombuffer(part.hip) for part in parts])
         self.starts = self.offsets[:-1]
         self.ends = self.offsets[1:]
         self.lengths = self.ends - self.starts
@@ -156,8 +157,8 @@ class Views:
         return cached
 
 
-def prepare_views(offsets, dist, hip) -> Views:
-    return Views(offsets, dist, hip)
+def prepare_views(columns) -> Views:
+    return Views(columns)
 
 
 # ----------------------------------------------------------------------

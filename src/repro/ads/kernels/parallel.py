@@ -8,20 +8,20 @@ module (:mod:`repro.ads.kernels.pure` or
 ``batch_cardinality`` / ``batch_closeness`` over contiguous node-range
 partitions in a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-* **sharded mmap layouts** partition one range per nonempty shard
-  (:func:`repro.ads.kernels.pure.shard_node_ranges`, the very segments
-  the serial pure kernel walks); a worker receives a
-  ``(path, data_start, count)`` descriptor and maps the shard itself.
-* **eager and single-file-mmap layouts** partition into ``workers``
-  node ranges balanced by entry count and ship the column bytes, once
-  per views lifetime.
+* **several segments** (a sharded map: one per nonempty shard file, the
+  very segments the serial kernels walk) are one partition each; a
+  worker receives the segment's ``source`` -- path, data start,
+  typecodes -- and maps the shard file itself.
+* **a lone segment** (eager and single-file-mmap layouts) is cut into
+  ``workers`` node ranges balanced by entry count, and the column
+  bytes are shipped, once per views lifetime.
 
-Each partition is a rebased mini-index fed to the base kernel's own
-``prepare_views``, so its arithmetic is the serial kernel's on the same
-slices, and results concatenate in node order: bit-identical floats at
-any worker count.  ``neighborhood_series`` folds HIP mass *across*
-nodes (partitioning would reorder IEEE additions) and always runs the
-serial base kernel.
+Each partition is a :class:`~repro.ads.kernels.pure.Segment` of its own
+fed to the base kernel's ``prepare_views``, so its arithmetic is the
+serial kernel's on the same slices, and results concatenate in node
+order: bit-identical floats at any worker count.
+``neighborhood_series`` folds HIP mass *across* nodes (partitioning
+would reorder IEEE additions) and always runs the serial base kernel.
 
 **Nothing selects this tier.**  A sweep is n jobs of a few
 microseconds each, so every fanned op moves more bytes than it
@@ -30,9 +30,9 @@ across the process boundary for a scan the serial kernel finishes in
 milliseconds).  On 2 vCPUs at harness scale (640k entries) two worker
 processes take 1.6-1.9x the serial pure kernel's time on a sharded
 layout, 1.8x on flat layouts and 4x under NumPy; the one win once
-recorded for it was the serial kernel paying Python-level
-``ShardedColumn`` indexing, which the segment views removed (see
-ARCHITECTURE.md for the table).  ``resolve_workers`` therefore maps
+recorded for it was the serial kernel paying a Python-level shard
+lookup per probe, which the segment views removed (see ARCHITECTURE.md
+for the table).  ``resolve_workers`` therefore maps
 ``"auto"`` / ``None`` to ``REPRO_KERNEL_WORKERS`` if set, else 1, on
 every backend, size and layout; only an explicit count engages the
 pool.  Hosts with >= 4 cores are unmeasured, which is why the tier
@@ -57,12 +57,11 @@ from array import array
 from bisect import bisect_left
 from concurrent.futures import BrokenExecutor
 from itertools import chain
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ads import kernels as _kernels
 from repro.ads.kernels import pure
-from repro.ads.mmap_io import ShardedColumn, map_file_columns
+from repro.ads.storage import map_file_columns
 from repro.errors import ParameterError, EstimatorError
 
 WORKERS_ENV_VAR = "REPRO_KERNEL_WORKERS"
@@ -190,7 +189,7 @@ def _picklable(value: Any) -> bool:
 # ----------------------------------------------------------------------
 # Partition planning and process payloads
 # ----------------------------------------------------------------------
-def _balanced_ranges(offsets, workers: int) -> List[Tuple[int, int, None]]:
+def _balanced_ranges(offsets, workers: int) -> List[Tuple[int, int]]:
     """*workers* contiguous node ranges balanced by entry count (a pure
     function of the offsets column, so partitioning is deterministic)."""
     n = len(offsets) - 1
@@ -202,17 +201,27 @@ def _balanced_ranges(offsets, workers: int) -> List[Tuple[int, int, None]]:
         target = (total * i) // workers
         bounds.append(bisect_left(offsets, target, bounds[-1], n))
     bounds.append(n)
-    return [
-        (a, b, None) for a, b in zip(bounds, bounds[1:]) if b > a
-    ]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _sliceable(column):
-    """*column* with zero-copy slices: sharded columns and memoryviews
-    slice natively; arrays go through one memoryview."""
-    if isinstance(column, (ShardedColumn, memoryview)):
-        return column
-    return memoryview(column)
+def _cut(part: pure.Segment, a: int, b: int) -> pure.Segment:
+    """Node rows ``[a, b)`` of *part* as a segment of their own: the
+    sweep columns sliced zero-copy, the offsets rebased to 0."""
+    lo, hi = part.offsets[a], part.offsets[b]
+    rebased = array("q", (part.offsets[i] - lo for i in range(a, b + 1)))
+    return pure.Segment(
+        part.base + lo, rebased,
+        memoryview(part.dist)[lo:hi], memoryview(part.hip)[lo:hi],
+    )
+
+
+def _payload(part: pure.Segment) -> tuple:
+    """What a worker rebuilds *part* from: the shard file's coordinates
+    when its columns are mapped from one (the worker re-maps it,
+    zero-copy via the page cache), else the sweep columns' bytes."""
+    if part.source is None:
+        return (bytes(part.offsets), bytes(part.dist), bytes(part.hip))
+    return (bytes(part.offsets), len(part.hip)) + part.source
 
 
 def _window_bytes(part: pure.Segment, cum) -> Optional[bytes]:
@@ -222,73 +231,51 @@ def _window_bytes(part: pure.Segment, cum) -> Optional[bytes]:
 
 
 class ParallelViews:
-    """The parallel kernel's prepared-views object: the partition plan
-    (``[(a, b, shard spec or None), ...]`` node ranges), the lazily
-    built per-partition process payloads, and the base kernel's
-    whole-column views (serial ops and fallbacks).
+    """The parallel kernel's prepared-views object: the index's
+    segments, the lazily built per-partition process payloads, and the
+    base kernel's own views (serial ops and fallbacks).
 
     ``AdsIndex`` caches and invalidates it exactly like any other
     kernel views object, so everything derived here shares the columns'
     lifetime.
     """
 
-    def __init__(self, kernel, workers, offsets, dist, hip):
+    def __init__(self, kernel, workers: int, columns: pure.Columns):
         self._kernel = kernel
-        self._columns = (offsets, dist, hip)
-        self.plan = (
-            pure.shard_node_ranges(offsets, dist)
-            or _balanced_ranges(offsets, workers)
-        )
+        self._workers = workers
+        self.columns = columns
         self._base = None
         self._payloads: Optional[List[Tuple[pure.Segment, tuple]]] = None
         self._lock = threading.Lock()
 
     def base(self):
-        """The base kernel's views over the whole columns (built once,
+        """The base kernel's views over the whole index (built once,
         on the first serial-path or fallback use)."""
         views = self._base
         if views is None:
             with self._lock:
                 views = self._base
                 if views is None:
-                    views = self._kernel.prepare_views(*self._columns)
+                    views = self._kernel.prepare_views(self.columns)
                     self._base = views
         return views
 
     def payloads(self) -> List[Tuple[pure.Segment, tuple]]:
-        """``(segment, payload)`` per partition, cached: a shard
-        partition ships a re-mmap descriptor (zero-copy via the page
-        cache), any other its column bytes."""
+        """``(segment, payload)`` per partition, in node order, cached."""
         payloads = self._payloads
         if payloads is None:
             with self._lock:
                 payloads = self._payloads
                 if payloads is None:
-                    offsets, dist, hip = self._columns
-                    dist, hip = _sliceable(dist), _sliceable(hip)
-                    payloads = []
-                    for a, b, spec in self.plan:
-                        part = pure.segment(offsets, dist, hip, a, b)
-                        payloads.append(
-                            (part, self._build_payload(part, spec, dist, hip))
-                        )
+                    parts = self.columns.segments
+                    if len(parts) == 1:
+                        parts = [
+                            _cut(parts[0], a, b) for a, b in
+                            _balanced_ranges(parts[0].offsets, self._workers)
+                        ]
+                    payloads = [(part, _payload(part)) for part in parts]
                     self._payloads = payloads
         return payloads
-
-    @staticmethod
-    def _build_payload(part: pure.Segment, spec, dist, hip) -> tuple:
-        offsets_bytes = part.offsets.tobytes()
-        if spec is None:
-            return (
-                "buffer", offsets_bytes, bytes(part.dist), bytes(part.hip),
-            )
-        # The file's column layout travels with the descriptor, so
-        # the worker re-maps without knowing the index format.
-        typecodes, dist_position = dist.remap
-        return (
-            "shard", offsets_bytes, str(spec.path), spec.data_start,
-            spec.count, (typecodes, dist_position, hip.remap[1]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -305,35 +292,32 @@ def _worker_kernel(name: str):
     return pure
 
 
-def _payload_columns(payload: tuple):
-    """Rehydrate one partition's (offsets, dist, hip) in a worker."""
-    if payload[0] == "shard":
-        _, offsets_bytes, path, data_start, count, remap = payload
-        typecodes, dist_position, hip_position = remap
-        offsets = array("q")
-        offsets.frombytes(offsets_bytes)
-        with open(path, "rb") as handle:
-            columns = map_file_columns(
-                Path(path), handle.fileno(), data_start,
-                [count] * len(typecodes), typecodes,
-            )
-        return offsets, columns[dist_position], columns[hip_position]
-    _, offsets_bytes, dist_bytes, hip_bytes = payload
+def _payload_segment(payload: tuple) -> pure.Segment:
+    """Rehydrate one partition in a worker (see :func:`_payload`)."""
     offsets = array("q")
-    offsets.frombytes(offsets_bytes)
-    dist = array("d")
-    dist.frombytes(dist_bytes)
-    hip = array("d")
-    hip.frombytes(hip_bytes)
-    return offsets, dist, hip
+    offsets.frombytes(payload[0])
+    if len(payload) == 3:
+        dist, hip = array("d"), array("d")
+        dist.frombytes(payload[1])
+        hip.frombytes(payload[2])
+        return pure.Segment(0, offsets, dist, hip)
+    _, count, path, data_start, typecodes = payload
+    with open(path, "rb") as handle:
+        columns = map_file_columns(
+            path, handle.fileno(), data_start,
+            [count] * len(typecodes), typecodes,
+        )
+    return pure.Segment(0, offsets, *columns)
 
 
 def _partition_task(payload: tuple, backend_name: str, op: str,
                     params: dict):
     """Run one batch op over one rehydrated partition in a worker."""
-    offsets, dist, hip = _payload_columns(payload)
+    part = _payload_segment(payload)
     kernel = _worker_kernel(backend_name)
-    views = kernel.prepare_views(offsets, dist, hip)
+    views = kernel.prepare_views(
+        pure.Columns([part], (0, len(part.offsets) - 1), len(part.hip))
+    )
     if op == "cum_hip":
         return kernel.compute_cum_hip(views).tobytes()
     cum = params.get("cum")
@@ -372,8 +356,8 @@ class ParallelKernel:
     def __repr__(self) -> str:
         return f"ParallelKernel(base={self.NAME!r}, workers={self.workers})"
 
-    def prepare_views(self, offsets, dist, hip) -> ParallelViews:
-        return ParallelViews(self._base, self.workers, offsets, dist, hip)
+    def prepare_views(self, columns: pure.Columns) -> ParallelViews:
+        return ParallelViews(self._base, self.workers, columns)
 
     def _fan(self, views: ParallelViews, op: str, cum=None,
              **params) -> Optional[list]:
@@ -381,12 +365,14 @@ class ParallelKernel:
         window of the *cum* column; the results in node order, or
         ``None`` when the caller must run the serial base kernel (one
         partition, no pool, or a pool -- not estimator -- failure)."""
-        if self.workers <= 1 or len(views.plan) <= 1:
+        if self.workers <= 1:
             return None
         executor = _executor(self.workers)
         if executor is None:
             return None
         try:
+            if len(views.payloads()) <= 1:
+                return None
             futures = [
                 executor.submit(
                     _partition_task, payload, self.NAME, op,

@@ -6,27 +6,27 @@ be verified against them function for function.  Every float produced
 here is authoritative: the accelerated kernel must reproduce the same
 left-to-right per-slice summation order.
 
-A *views* object for this kernel (:class:`Columns`) is a list of
-:class:`Segment` objects -- contiguous node ranges whose entry columns
-are each one flat buffer -- that the sweep ops walk in node order and
-every per-node reader reaches through ``locate(i)``.  Flat columns
-(``array.array`` for eager indexes, one ``memoryview`` per column for
-single-file maps) are one segment; a sharded-mmap
-:class:`~repro.ads.mmap_io.ShardedColumn` is one segment per nonempty
-shard, each a zero-copy ``memoryview`` of the mapped file, cut on first
-touch.  Indexing a ``ShardedColumn`` directly costs a Python-level
-shard lookup on every bisect probe and every per-node slice (2.0-3.5x
-on a whole sweep, 2-3x on a point read); over segments every bisect,
-slice and ``zip`` runs in C whatever the storage, and the floats and
-their summation order are the same.  The similarity ops at the bottom
-exist only here, for both backends' indexes (see the package docs).
+The *views* object for this kernel (:class:`Columns`) is the index's
+storage as every reader sees it: a list of :class:`Segment` objects --
+contiguous node ranges whose entry columns are each one flat buffer --
+that the sweep ops walk in node order and every per-node reader
+reaches through ``locate(i)``.  The storage module builds it
+(:mod:`repro.ads.storage`): one segment over owned arrays for a built
+or eagerly loaded index, one over the mapped views of a single-file
+map, one per nonempty shard file of a sharded map, mapped when a
+reader first asks for a node of its range.  Every bisect, slice and
+``zip`` runs in C over a segment's own buffers whatever the backing,
+and the floats and their summation order are the same.  The
+similarity ops at the bottom exist only here, for both backends'
+indexes (see the package docs).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from typing import (
     Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -44,7 +44,7 @@ NAME = "python"
 
 class Segment(NamedTuple):
     """One contiguous node range as a self-contained mini-index: its
-    own flat column buffers and offsets rebased to start at 0."""
+    own flat column buffers and offsets that start at 0."""
 
     base: int  # global entry slot of the segment's first entry
     offsets: Sequence[int]
@@ -52,6 +52,10 @@ class Segment(NamedTuple):
     hip: Sequence[float]
     node: Optional[Sequence[int]] = None
     aux: Optional[Sequence[int]] = None
+    #: ``(path, data start, typecodes)`` when the entry columns are the
+    #: views of one mapped shard file, stored back to back in field
+    #: order: what another process needs to map the same columns.
+    source: Optional[Tuple[str, int, Tuple[str, ...]]] = None
 
     def window(self, column):
         """This segment's entries of a whole-index column (the cum-hip
@@ -61,86 +65,68 @@ class Segment(NamedTuple):
         return memoryview(column)[self.base:self.base + len(self.hip)]
 
 
-def shard_node_ranges(offsets, dist_column) -> List[Tuple[int, int, Any]]:
-    """``[(a, b, spec), ...]``: one half-open node-id range per
-    nonempty shard of a sharded column (*spec* its
-    :class:`~repro.ads.mmap_io.ShardSpec`), tiling ``[0, n)``; empty
-    for flat columns.  Nodes never straddle shards, so a range's
-    column slices are one zero-copy view each."""
-    specs = [
-        spec for spec in getattr(dist_column, "shard_specs", ())
-        if spec.count
-    ]
-    n = len(offsets) - 1
-    bounds = [0]
-    for spec in specs[:-1]:
-        bounds.append(bisect_left(
-            offsets, spec.entry_base + spec.count, bounds[-1], n
-        ))
-    # Trailing empty node slices belong to the last shard's range.
-    bounds.append(n)
-    return list(zip(bounds, bounds[1:], specs))
-
-
-def segment(offsets, dist, hip, a: int, b: int, node=None, aux=None):
-    """Node range ``[a, b)`` of sliceable columns as a :class:`Segment`."""
-    lo, hi = offsets[a], offsets[b]
-    rebased = array("q", (offsets[i] - lo for i in range(a, b + 1)))
-    return Segment(
-        lo, rebased, dist[lo:hi], hip[lo:hi],
-        None if node is None else node[lo:hi],
-        None if aux is None else aux[lo:hi],
-    )
-
-
 class Columns:
-    """The pure kernel's prepared view: the segments in node order.
+    """The segments of one index in node order.
 
-    Flat columns are wrapped whole as the one segment, nothing copied.
-    Sharded columns get one segment per nonempty shard, cut (mapping
-    that one shard file) when a reader first asks for it; an unlocked
-    racing first touch cuts the same segment twice and one copy wins.
+    *parts* holds one item per segment: the :class:`Segment`, or a
+    zero-argument callable returning it (a shard file mapped on first
+    touch: called once, behind a lock -- concurrent readers may race
+    two first touches of the same shard).  ``bounds`` are the segments'
+    node-id bounds, ``len(parts) + 1`` of them, what :meth:`locate`
+    bisects.
     """
 
-    __slots__ = ("entries", "_columns", "_bounds", "_parts")
+    __slots__ = ("entries", "bounds", "lazy", "_parts", "_lock")
 
-    def __init__(self, offsets, dist, hip, node=None, aux=None):
-        self.entries = len(hip)
-        self._columns = (offsets, dist, hip, node, aux)
-        ranges = shard_node_ranges(offsets, dist)
-        # _bounds: node-id bounds of the segments, what locate() bisects.
-        if ranges:
-            self._bounds = [a for a, _, _ in ranges]
-            self._parts: List[Optional[Segment]] = [None] * len(ranges)
-        else:
-            self._bounds = [0]
-            self._parts = [Segment(0, offsets, dist, hip, node, aux)]
-        self._bounds.append(len(offsets) - 1)
+    def __init__(self, parts: Sequence[Any], bounds: Sequence[int],
+                 entries: int):
+        self.entries = entries
+        self.bounds = list(bounds)
+        self._parts = list(parts)
+        self.lazy = any(type(part) is not Segment for part in self._parts)
+        self._lock = threading.Lock()
+
+    @classmethod
+    def flat(cls, offsets, dist, hip, node=None, aux=None) -> "Columns":
+        """Whole flat columns wrapped as the one segment, nothing
+        copied."""
+        return cls(
+            [Segment(0, offsets, dist, hip, node, aux)],
+            (0, len(offsets) - 1), len(hip),
+        )
 
     def _part(self, position: int) -> Segment:
         part = self._parts[position]
-        if part is None:
-            offsets, dist, hip, node, aux = self._columns
-            a, b = self._bounds[position:position + 2]
-            part = segment(offsets, dist, hip, a, b, node, aux)
-            self._parts[position] = part
+        if type(part) is not Segment:
+            with self._lock:
+                part = self._parts[position]
+                if type(part) is not Segment:
+                    part = self._parts[position] = part()
         return part
 
     @property
+    def mapped(self) -> Optional[int]:
+        """How many of a sharded map's segments are mapped so far;
+        ``None`` when no segment is mapped on first touch."""
+        if not self.lazy:
+            return None
+        return sum(type(part) is Segment for part in self._parts)
+
+    @property
     def segments(self) -> List[Segment]:
-        """Every segment, in node order (cuts the ones still missing)."""
+        """Every segment, in node order (loads the ones still missing)."""
         return [self._part(position) for position in range(len(self._parts))]
 
     def locate(self, i: int) -> Tuple[Segment, int, int]:
         """Node id *i*'s segment and its entries' ``[lo, hi)`` in that
         segment's buffers: no search for one segment, else one bisect."""
-        bounds = self._bounds
+        bounds = self.bounds
         position = 0
         if len(bounds) > 2:
             position = bisect_right(bounds, i) - 1
             i -= bounds[position]
         part = self._parts[position]
-        if part is None:
+        if type(part) is not Segment:
             part = self._part(position)
         offsets = part.offsets
         return part, offsets[i], offsets[i + 1]
@@ -148,20 +134,21 @@ class Columns:
     def locate_range(
         self, start: int, stop: int
     ) -> Iterator[Tuple[Segment, int, int]]:
-        """:meth:`locate` for the node range ``[start, stop)``: each
-        segment holding some of it, in node order, with the entry
-        bounds of the nodes it holds there."""
-        bounds = self._bounds
+        """The node range ``[start, stop)`` segment by segment, in node
+        order: each segment holding some of it with the rows ``[a, b)``
+        of its own offsets that lie in the range."""
+        bounds = self.bounds
         position = bisect_right(bounds, start) - 1
         while start < stop:
-            part = self._part(position)
-            a, end = bounds[position], min(stop, bounds[position + 1])
-            yield part, part.offsets[start - a], part.offsets[end - a]
+            first, end = bounds[position], min(stop, bounds[position + 1])
+            yield self._part(position), start - first, end - first
             start, position = end, position + 1
 
 
-#: The kernel API's ``prepare_views``; maps and copies nothing.
-prepare_views = Columns
+def prepare_views(columns: Columns) -> Columns:
+    """The kernel API's ``prepare_views``: this kernel sweeps the
+    storage's own segments."""
+    return columns
 
 
 def compute_cum_hip(views: Columns) -> array:

@@ -805,7 +805,7 @@ def cmd_route(args) -> int:
         ...       "--group", "http://127.0.0.1:9"])
         1
     """
-    from repro.ads.index import shard_ranges
+    from repro.ads.storage import shard_ranges
     from repro.serve import RouterServer
 
     if args.cache_size < 0:

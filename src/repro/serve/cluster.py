@@ -85,7 +85,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import quote
 
 from repro._util import require
-from repro.ads.index import _labels_digest
+from repro.ads.storage import labels_digest
 from repro.centrality.closeness import top_k_central_nodes
 from repro.errors import ReproError
 from repro.serve.client import ServeClientError
@@ -166,7 +166,7 @@ class LabelDirectory:
     def labels_digest(self) -> str:
         """Same fingerprint as ``AdsIndex.labels_digest`` over the same
         label list -- the equality topology validation checks."""
-        return _labels_digest(self._labels)
+        return labels_digest(self._labels)
 
 
 def merge_top_central(

@@ -98,7 +98,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro._util import require
-from repro.ads.index import MANIFEST_NAME, AdsIndex
+from repro.ads.index import AdsIndex
+from repro.ads.storage import MANIFEST_NAME
 from repro.ads.wal import WriteAheadLog
 from repro.centrality.closeness import top_k_central_nodes
 from repro.errors import ReproError

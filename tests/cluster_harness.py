@@ -41,7 +41,7 @@ import socket
 import threading
 
 from repro.ads import AdsIndex
-from repro.ads.index import shard_ranges
+from repro.ads.storage import shard_ranges
 from repro.graph.csr import CSRGraph
 from repro.serve import AdsServer, QueryClient, RouterServer
 

@@ -1,8 +1,10 @@
 """Test support for the ``AdsIndex`` storage formats.
 
-* :func:`columns` -- an index's stored state as comparable lists, after
-  checking that its per-node tables are what ``HashFamily(seed)``
-  assigns to its labels;
+* :func:`columns` -- an index's stored state as comparable lists, read
+  through its segments whatever backs them, after checking that its
+  per-node tables are what ``HashFamily(seed)`` assigns to its labels
+  (:func:`entry_columns` / :func:`entry_slot`: the same walk for tests
+  that want the whole-index columns or one node's global entry slot);
 * :func:`data_start` / :func:`column_start` / :func:`poke_node_id` --
   where the columns sit in a version-2 file, for tests that corrupt one
   precisely;
@@ -21,9 +23,38 @@ import zlib
 from array import array
 from pathlib import Path
 
-from repro.ads.index import MANIFEST_NAME, _labels_digest, shard_ranges
-from repro.ads.mmap_io import ENTRY_COLUMNS, expected_bytes
+from repro.ads.storage import (
+    ENTRY_COLUMNS,
+    MANIFEST_NAME,
+    expected_bytes,
+    labels_digest,
+    shard_ranges,
+)
 from repro.rand.hashing import HashFamily
+
+
+def entry_columns(index):
+    """``(offsets, dist, hip, node, aux)`` of the whole index as lists,
+    walked segment by segment (``aux`` is ``None`` on a bottom-k
+    index); offsets are global entry slots."""
+    parts = index._segments.segments
+    offsets = [0]
+    for part in parts:
+        offsets.extend(part.base + value for value in part.offsets[1:])
+    dist, hip, node, aux = (
+        None if parts[0][field] is None
+        else [value for part in parts for value in part[field]]
+        for field in (2, 3, 4, 5)
+    )
+    assert len(offsets) == index.num_nodes + 1
+    assert len(dist) == len(hip) == len(node) == index.num_entries
+    return offsets, dist, hip, node, aux
+
+
+def entry_slot(index, i: int) -> int:
+    """The global entry slot of node id *i*'s first entry."""
+    part, lo, _ = index._segments.locate(i)
+    return part.base + lo
 
 
 def columns(index):
@@ -37,15 +68,11 @@ def columns(index):
         [family.rank(label, h) for label in labels]
         for h in range(index.k if index.flavor == "kmins" else 1)
     ]
-    assert (index._aux is None) == (index.flavor == "bottomk")
-    for name in ("_rank", "_tiebreak"):
-        assert not hasattr(index, name)  # per node, never per entry
-    return (
-        list(index._offsets), list(index._dist), list(index._hip),
-        list(index._node),
-        None if index._aux is None else list(index._aux),
-        list(index._cum_hip), labels,
-    )
+    stored = entry_columns(index)
+    assert (stored[4] is None) == (index.flavor == "bottomk")
+    for name in ("rank", "tiebreak"):  # per node, never per entry
+        assert name not in index._segments.segments[0]._fields
+    return stored + (list(index._cum_hip), labels)
 
 
 def data_start(data: bytes) -> int:
@@ -95,20 +122,22 @@ def poke_node_id(path, flavor: str, rows: int, entries: int, slot: int,
 # ----------------------------------------------------------------------
 # The frozen version-1 writer
 # ----------------------------------------------------------------------
-def _v1_columns(index, lo: int, hi: int):
-    """node, dist, rank, tiebreak, aux, hip for entry slots [lo, hi)."""
+def _v1_columns(index, stored, lo: int, hi: int):
+    """node, dist, rank, tiebreak, aux, hip for entry slots [lo, hi) of
+    *stored* (:func:`entry_columns` of *index*)."""
     family = HashFamily(index.seed)
     labels = index.nodes()
-    nodes = list(index._node[lo:hi])
-    aux = [-1] * len(nodes) if index._aux is None else list(index._aux[lo:hi])
+    _, dist, hip, node, stored_aux = stored
+    nodes = node[lo:hi]
+    aux = [-1] * len(nodes) if stored_aux is None else stored_aux[lo:hi]
     ranks = [
         family.rank(labels[v], h if index.flavor == "kmins" else 0)
         for v, h in zip(nodes, aux)
     ]
     return (
-        array("q", nodes), array("d", index._dist[lo:hi]), array("d", ranks),
+        array("q", nodes), array("d", dist[lo:hi]), array("d", ranks),
         array("Q", (family.tiebreak(labels[v]) for v in nodes)),
-        array("q", aux), array("d", index._hip[lo:hi]),
+        array("q", aux), array("d", hip[lo:hi]),
     )
 
 
@@ -136,8 +165,9 @@ def write_v1_single(index, path, **overrides) -> None:
         "labels": index.nodes(),
     }
     header.update(overrides)
-    _write_v1(path, b"ADSIDX01", header, array("q", index._offsets),
-              _v1_columns(index, 0, index.num_entries))
+    stored = entry_columns(index)
+    _write_v1(path, b"ADSIDX01", header, array("q", stored[0]),
+              _v1_columns(index, stored, 0, index.num_entries))
 
 
 def write_v1_sharded(index, directory, shards: int) -> None:
@@ -146,14 +176,16 @@ def write_v1_sharded(index, directory, shards: int) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     labels = index.nodes()
-    digest = _labels_digest(labels)
+    digest = labels_digest(labels)
+    stored = entry_columns(index)
+    all_offsets = stored[0]
     params = {
         "flavor": index.flavor, "k": index.k, "seed": index.seed,
         "rank_sup": index.rank_sup, "n": index.num_nodes,
     }
     manifest_shards = []
     for i, (start, stop) in enumerate(shard_ranges(len(labels), shards)):
-        lo, hi = index._offsets[start], index._offsets[stop]
+        lo, hi = all_offsets[start], all_offsets[stop]
         file_name = f"shard-{i:05d}.adsshd"
         header = {
             "format": "adsidx-shard", "version": 1, **params,
@@ -161,10 +193,10 @@ def write_v1_sharded(index, directory, shards: int) -> None:
             "byteorder": sys.byteorder, "labels": labels[start:stop],
             "labels_digest": digest,
         }
-        offsets = array("q", (index._offsets[j] - lo
+        offsets = array("q", (all_offsets[j] - lo
                               for j in range(start, stop + 1)))
         _write_v1(directory / file_name, b"ADSSHD01", header, offsets,
-                  _v1_columns(index, lo, hi))
+                  _v1_columns(index, stored, lo, hi))
         manifest_shards.append({
             "file": file_name, "start": start, "stop": stop,
             "entries": hi - lo,

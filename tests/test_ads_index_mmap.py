@@ -12,8 +12,8 @@ import os
 
 import pytest
 
+import index_format
 from repro.ads import AdsIndex
-from repro.ads.mmap_io import ShardMaps, ShardSpec, ShardedColumn
 from repro.errors import EstimatorError
 from repro.estimators.statistics import harmonic_kernel
 from repro.graph import gnp_random_graph
@@ -96,12 +96,19 @@ class TestEquivalence:
         index = _build(graph, "bottomk")
         path = _saved(index, tmp_path, layout)
         mmapped = AdsIndex.load(path, mmap=True)
-        for name in ("_node", "_dist", "_hip"):
-            assert getattr(mmapped, name).tobytes() == getattr(
-                index, name
-            ).tobytes()
-        assert mmapped._aux is None and index._aux is None
-        assert list(mmapped._offsets) == list(index._offsets)
+        assert index_format.entry_columns(
+            mmapped
+        ) == index_format.entry_columns(index)
+        (built,) = index._segments.segments
+        for part in mmapped._segments.segments:
+            # Every mapped column is the file's bytes, viewed in place.
+            assert part.aux is None and built.aux is None
+            for name in ("node", "dist", "hip"):
+                column = getattr(part, name)
+                assert type(column) is memoryview
+                assert column.tobytes() == memoryview(
+                    getattr(built, name)
+                )[part.base:part.base + len(column)].tobytes()
 
     def test_resave_from_mmap_load_roundtrips(self, graph, tmp_path):
         """Saving a lazily loaded index (including re-sharding, which
@@ -242,41 +249,3 @@ class TestFailureModes:
         path = _saved(index, tmp_path, "single")
         loaded = AdsIndex.load(path)
         assert loaded._cum_cache is not None  # eager mode validated fully
-
-
-class TestShardedColumn:
-    def _column(self, tmp_path, chunks):
-        from array import array
-
-        specs = []
-        base = 0
-        for i, chunk in enumerate(chunks):
-            path = tmp_path / f"chunk-{i}.bin"
-            path.write_bytes(array("q", chunk).tobytes())
-            specs.append(ShardSpec(path, 0, len(chunk), base))
-            base += len(chunk)
-        maps = ShardMaps(specs, ("q",))
-        return ShardedColumn(maps, 0, "q")
-
-    def test_indexing_and_iteration(self, tmp_path):
-        column = self._column(tmp_path, [[1, 2, 3], [4, 5], [6]])
-        assert len(column) == 6
-        assert [column[i] for i in range(6)] == [1, 2, 3, 4, 5, 6]
-        assert column[-1] == 6
-        assert list(column) == [1, 2, 3, 4, 5, 6]
-        with pytest.raises(IndexError):
-            column[6]
-
-    def test_in_shard_slice_is_zero_copy_view(self, tmp_path):
-        column = self._column(tmp_path, [[1, 2, 3], [4, 5], [6]])
-        view = column[3:5]
-        assert isinstance(view, memoryview)
-        assert list(view) == [4, 5]
-
-    def test_cross_shard_slice_gathers(self, tmp_path):
-        from array import array
-
-        column = self._column(tmp_path, [[1, 2, 3], [4, 5], [6]])
-        assert list(column[1:6]) == [2, 3, 4, 5, 6]
-        assert list(column[0:0]) == []
-        assert column.tobytes() == array("q", [1, 2, 3, 4, 5, 6]).tobytes()

@@ -13,7 +13,8 @@ import pytest
 
 import index_format
 from repro.ads import AdsIndex
-from repro.ads.index import MANIFEST_NAME, shard_ranges
+from repro.ads import storage
+from repro.ads.storage import MANIFEST_NAME, shard_ranges
 from repro.errors import EstimatorError, ParameterError
 from repro.graph import Graph, barabasi_albert_graph
 from repro.rand.hashing import HashFamily
@@ -230,4 +231,4 @@ class TestCorruptedLayoutRejection:
         path = tmp_path / "flat.adsidx"
         index.save(path)
         with pytest.raises(EstimatorError):
-            AdsIndex._load_sharded(path)
+            storage._load_sharded(AdsIndex, path, False, "auto", None)

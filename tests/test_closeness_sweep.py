@@ -125,7 +125,7 @@ def _per_threshold(slice_a, slice_b, k):
     rank_of = {node: rank for rank, node in keys}
     ranks = [rank_of.get(node, 1.0) for node in range(max(rank_of, default=-1) + 1)]
     distances = dist_a + dist_b
-    views = pure.prepare_views(
+    views = pure.Columns.flat(
         [0, len(keys_a), len(keys)],
         distances,
         [1.0] * len(distances),  # HIP weights: not read by MinHash extraction

@@ -24,8 +24,12 @@ from hypothesis import given, settings, strategies as st
 import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads import index as index_module
-from repro.ads.index import MANIFEST_NAME, shard_ranges
-from repro.ads.mmap_io import ENTRY_COLUMNS, expected_bytes
+from repro.ads.storage import (
+    ENTRY_COLUMNS,
+    MANIFEST_NAME,
+    expected_bytes,
+    shard_ranges,
+)
 from repro.errors import EstimatorError
 from repro.graph import barabasi_albert_graph
 from repro.rand.hashing import HashFamily
@@ -238,17 +242,18 @@ def _mapped_with_bad_id(tmp_path, layout, node_id):
         index.save(path)
         index_format.poke_node_id(
             path, "bottomk", index.num_nodes, index.num_entries,
-            index._offsets[5] + 1, node_id,
+            index_format.entry_slot(index, 5) + 1, node_id,
         )
         return path, 5
     path = tmp_path / "sharded"
     shards, shard, bad = (1, 0, 5) if layout == "sharded" else (3, 1, 25)
     index.save(path, shards=shards)
     start, stop = shard_ranges(index.num_nodes, shards)[shard]
-    base = index._offsets[start]
+    offsets = index_format.entry_columns(index)[0]
+    base = offsets[start]
     index_format.poke_node_id(
         path / f"shard-{shard:05d}.adsshd", "bottomk", stop - start,
-        index._offsets[stop] - base, index._offsets[bad] + 1 - base, node_id,
+        offsets[stop] - base, offsets[bad] + 1 - base, node_id,
     )
     return path, bad
 
@@ -270,7 +275,7 @@ class TestHostileNodeIdsOnMappedLoads:
             lambda: mapped.node_closeness_centrality(bad, beta=lambda v: 1.0),
         ]
         # The error names the global entry slot on every layout.
-        slot = mapped._offsets[bad] + 1
+        slot = index_format.entry_slot(mapped, bad) + 1
         for lookup in lookups:
             with pytest.raises(EstimatorError, match=f"slot {slot} "):
                 lookup()

@@ -14,6 +14,7 @@ Every NumPy-dependent test skips cleanly when NumPy is missing, so the
 suite passes identically on a pure-Python deployment.
 """
 
+import json
 import math
 import random
 import sys
@@ -25,7 +26,7 @@ import index_format
 from repro.ads import AdsIndex, kernels
 from repro.ads.kernels import parallel as kernel_parallel
 from repro.ads.kernels import pure
-from repro.ads.mmap_io import ENTRY_COLUMNS, ShardedColumn
+from repro.ads.storage import ENTRY_COLUMNS, MANIFEST_NAME
 from repro.errors import EstimatorError, ParameterError
 from repro.estimators.statistics import (
     exponential_decay_kernel,
@@ -214,7 +215,10 @@ class TestDynamicUpdatesAcrossBackends:
             ),
             4, family=HashFamily(7), flavor=flavor, backend="python",
         )
-        assert bytes(index_np._hip) == bytes(rebuilt._hip)
+        (spliced,), (fresh,) = (
+            index._segments.segments for index in (index_np, rebuilt)
+        )
+        assert bytes(spliced.hip) == bytes(fresh.hip)
 
     def test_cum_cache_spliced_not_dropped(self, flavor, weighted):
         _, index = _apply_case(flavor, weighted, "numpy")
@@ -517,10 +521,11 @@ def _padded_layouts(flavor, tmp_path, backend="python"):
     )
     n = built.num_nodes
     assert built.nodes() == list(range(n)) and n == 48
+    (part,) = built._segments.segments
     padded = AdsIndex(
         flavor, 4, 99, list(range(n + 18)),
-        array("q", list(built._offsets) + [built.num_entries] * 18),
-        built._dist, built._hip, built._node, built._aux, backend="python",
+        array("q", list(part.offsets) + [built.num_entries] * 18),
+        part.dist, part.hip, part.node, part.aux, backend="python",
     )
     padded.save(tmp_path / "padded.adsidx")
     padded.save(tmp_path / "padded-sharded", shards=6)
@@ -585,66 +590,57 @@ def _node_script(index):
 @pytest.mark.parametrize("flavor", FLAVORS)
 class TestSegmentViews:
     """The serial pure kernel does not care how the index is stored:
-    its sweeps walk one flat buffer per shard, never the
-    ``ShardedColumn`` (a Python-level shard lookup per probe)."""
+    a sharded map *is* one flat segment per nonempty shard file, the
+    very buffers its sweeps and every per-node reader walk -- there is
+    no global column to index through."""
 
-    def test_sweeps_never_index_the_sharded_column(
-        self, flavor, tmp_path, monkeypatch
-    ):
+    def test_sweeps_never_index_the_sharded_column(self, flavor, tmp_path):
         single, sharded = _padded_layouts(flavor, tmp_path)
-        assert isinstance(sharded._dist, ShardedColumn)
-        specs = sharded._dist.shard_specs
-        assert len(specs) == 6 and specs[-1].count == 0
-        calls = {"int": 0, "slice": 0}
-        original = ShardedColumn.__getitem__
-
-        def counting(self, item):
-            calls["slice" if isinstance(item, slice) else "int"] += 1
-            return original(self, item)
-
-        monkeypatch.setattr(ShardedColumn, "__getitem__", counting)
+        manifest = json.loads(
+            (tmp_path / "padded-sharded" / MANIFEST_NAME).read_text()
+        )
+        counts = [shard["entries"] for shard in manifest["shards"]]
+        assert len(counts) == 6 and counts[-1] == 0 and all(counts[:5])
+        assert sharded.mapped_shards == 0
         answers = _sweep_script(sharded)
-        monkeypatch.undo()
-        # One slice per entry column per nonempty shard, once per
-        # views lifetime (a segment carries every column: the per-node
-        # reads share it); indexing the column directly made ~6 integer
-        # calls per node per cardinality sweep.
-        assert calls == {"int": 0, "slice": len(ENTRY_COLUMNS[flavor]) * 5}
-        segments = sharded._kernel_views().segments
+        # The pure kernel's prepared view is the storage itself.
+        store = sharded._kernel_views()
+        assert store is sharded._segments and sharded.mapped_shards == 5
+        segments = store.segments
         assert len(segments) == 5
-        assert all(type(part.dist) is memoryview for part in segments)
+        for part, shard, count in zip(segments, manifest["shards"], counts):
+            # Each column is a view of the mapped shard file: every
+            # entry column, once (the per-node reads share it), and the
+            # offsets are the file's own, zero-based.
+            columns = part[2:2 + len(ENTRY_COLUMNS[flavor])]
+            assert all(type(column) is memoryview for column in columns)
+            assert {len(column) for column in columns} == {count}
+            assert part.offsets[0] == 0 and part.offsets[-1] == count
+            assert part.source[0].endswith(shard["file"])
+        assert [part.base for part in segments] == [
+            sum(counts[:i]) for i in range(5)
+        ]
         # Trailing empty node slices ride in the last nonempty shard.
         assert sum(len(part.offsets) - 1 for part in segments) == 66
         assert answers == _sweep_script(single)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_node_reads_never_index_the_sharded_column(
-        self, flavor, backend, tmp_path, monkeypatch
+        self, flavor, backend, tmp_path
     ):
         # Point reads, the similarity ops and index[label] resolve a
         # node to its shard's flat buffers once (Columns.locate), on
-        # either backend: no bisect probe or per-node slice goes
-        # through the ShardedColumn, and a node range spanning shards
-        # is walked segment by segment, not gathered into a copy.
+        # either backend, and a node range spanning shards is walked
+        # segment by segment: whatever a reader is handed is a view of
+        # one mapped shard file, never a gathered copy.
         single, sharded = _padded_layouts(flavor, tmp_path, backend)
         assert sharded.backend == backend
-        assert isinstance(sharded._node, ShardedColumn)
-        calls = {"int": 0, "gather": 0}
-        getitem, gather = ShardedColumn.__getitem__, ShardedColumn._gather
-
-        def counting_getitem(self, item):
-            calls["int"] += not isinstance(item, slice)
-            return getitem(self, item)
-
-        def counting_gather(self, start, stop):
-            calls["gather"] += 1
-            return gather(self, start, stop)
-
-        monkeypatch.setattr(ShardedColumn, "__getitem__", counting_getitem)
-        monkeypatch.setattr(ShardedColumn, "_gather", counting_gather)
         answers = _node_script(sharded)
-        monkeypatch.undo()
-        assert calls == {"int": 0, "gather": 0}
+        # The script named nodes of every nonempty shard.
+        assert sharded.mapped_shards == 5
+        for part in sharded._segments.segments:
+            assert part.source is not None
+            assert type(part.node) is memoryview
         assert repr(answers) == repr(_node_script(single))
 
 

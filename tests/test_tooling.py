@@ -45,3 +45,42 @@ def test_checker_finds_what_it_is_for(tmp_path):
         "'math' imported but unused",
         "'json' already imported on line 2",
     ]
+
+
+def _imports(path):
+    """``{module: {names}}`` of every import statement in *path*
+    (``import x`` records ``{x: set()}``)."""
+    import ast
+
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            found.setdefault(node.module, set()).update(
+                alias.name for alias in node.names
+            )
+    return found
+
+
+def test_only_the_storage_module_knows_the_layout():
+    # The kernels define Segment / Columns and read through them; the
+    # storage module builds them.  Nothing flows the other way, apart
+    # from the one function the fan-out's workers re-map a shard with.
+    source = REPO / "src" / "repro"
+    storage = {"repro.ads.storage", "repro.ads.index"}
+    for name in ("pure.py", "np_kernel.py", "__init__.py"):
+        imports = _imports(source / "ads" / "kernels" / name)
+        assert not storage & set(imports), name
+        assert not {"storage", "index"} & imports.get("repro.ads", set())
+    parallel = _imports(source / "ads" / "kernels" / "parallel.py")
+    assert parallel["repro.ads.storage"] == {"map_file_columns"}
+    assert "repro.ads.index" not in parallel
+    mappers = [
+        str(path.relative_to(source))
+        for path in sorted(source.rglob("*.py"))
+        if "mmap" in _imports(path)
+    ]
+    assert mappers == ["ads/storage.py"]
+    assert not (source / "ads" / "mmap_io.py").exists()

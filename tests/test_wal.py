@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ads import AdsIndex
+from repro.ads import AdsIndex, storage
 from repro.ads.wal import WalRecord, WriteAheadLog
 from repro.errors import EstimatorError, ReproError
 from repro.graph import write_edge_list
@@ -200,11 +200,11 @@ class TestAtomicSave:
         index.save(path)
         before = path.read_bytes()
 
-        def explode(handle):
+        def explode(index, handle):
             handle.write(b"partial garbage")
             raise OSError("disk full")
 
-        monkeypatch.setattr(index, "_write_single", explode)
+        monkeypatch.setattr(storage, "write_single", explode)
         with pytest.raises(OSError, match="disk full"):
             index.save(path)
         # The target is byte-identical and no temp litter remains.
