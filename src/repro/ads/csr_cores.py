@@ -117,18 +117,28 @@ def pruned_dijkstra_core_csr(
         stats.relaxations += relaxations
         return entries
 
+    # Weighted: Dijkstra, with the same competition run at *push* time.
+    # A neighbour is queued only at a distance shorter than any queued
+    # for it in this run, and only if that key passes its threshold: the
+    # threshold cannot change before the neighbour is popped (only its
+    # own acceptance of this candidate changes it), so a key that fails
+    # now would fail at the pop.  A pop takes the minimum pushed from an
+    # accepted node (the distance pop-time pruning records) and runs
+    # the same test.
     pop = heappop
-    settled = [-1] * n
+    queued_in = [-1] * n  # the run that last queued each node ...
+    queued = [0.0] * n    # ... and the shortest distance it queued
     for stamp, u in enumerate(order):
         r_u = ranks[u]
         tb_u = tiebreaks[u]
         ntb_u = -tb_u
+        queued_in[u] = stamp
+        queued[u] = 0.0
         heap: List[Tuple[float, int, int]] = [(0.0, tiebreaks[u], u)]
         while heap:
             d, _, v = pop(heap)
-            if settled[v] == stamp:
-                continue
-            settled[v] = stamp
+            if d > queued[v]:
+                continue  # stale: v was queued closer since
             threshold = thresholds[v]
             neg_d = -d
             if len(threshold) >= k:
@@ -143,8 +153,17 @@ def pruned_dijkstra_core_csr(
             neighbors = adjacency[v]
             relaxations += len(neighbors)
             for w, weight in neighbors:
-                if settled[w] != stamp:
-                    push(heap, (d + weight, tiebreaks[w], w))
+                nd = d + weight
+                if queued_in[w] == stamp and nd >= queued[w]:
+                    continue  # w is settled or queued no farther away
+                threshold = thresholds[w]
+                if len(threshold) >= k:
+                    worst_d, worst_tb = threshold[0]
+                    if worst_d > -nd or (worst_d == -nd and worst_tb > ntb_u):
+                        continue  # prune before queueing
+                queued_in[w] = stamp
+                queued[w] = nd
+                push(heap, (nd, tiebreaks[w], w))
     stats.insertions += insertions
     stats.relaxations += relaxations
     return entries

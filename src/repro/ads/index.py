@@ -62,7 +62,7 @@ import math
 import threading
 from array import array
 from bisect import bisect_right
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -147,15 +147,18 @@ class AdsIndex:
     @classmethod
     def _from_segments(cls, *args) -> "AdsIndex":
         """The index over ready segments (:meth:`_init`'s arguments),
-        as the storage module's loaders build them."""
+        as the storage module's loaders and :meth:`build` make them."""
         index = cls.__new__(cls)
         index._init(*args)
         return index
 
     def _init(
         self, flavor, k, seed, labels, segments, rank_sup,
-        validate_columns, backend, kernel_workers,
+        validate_columns, backend, kernel_workers, cum=None,
     ) -> None:
+        # *cum*: the cum-hip column when the caller packed it beside
+        # the HIP weights (a build); otherwise a validated load computes
+        # it below and a lazy one on first use.
         if flavor not in _FLAVOR_CLASSES:
             raise ParameterError(
                 f"unknown flavor {flavor!r}; expected one of "
@@ -180,7 +183,7 @@ class AdsIndex:
         # (tiebreaks, [ranks per permutation]) per node id; None until
         # a reader of ranks or tiebreaks first needs it.
         self._tables_cache: Optional[Tuple[array, List[array]]] = None
-        self._cum_cache: Optional[array] = None
+        self._cum_cache: Optional[array] = cum
         self._cum_lock = threading.Lock()
         self.mmap_backed = False
         self._mmap_paths: frozenset = frozenset()
@@ -233,7 +236,7 @@ class AdsIndex:
                 max(part.aux) >= self.k
             ):
                 raise EstimatorError("entry aux values must lie in [0, k)")
-        if validate_columns:
+        if validate_columns and cum is None:
             self._cum_cache = self._compute_cum_hip()
 
     def _check_node_count(self) -> None:
@@ -452,14 +455,17 @@ class AdsIndex:
         rank_tables = tables[1]
         offsets = array(storage.OFFSETS_TYPECODE, bytes(8 * (len(labels) + 1)))
         columns = [array(code) for code in storage.entry_typecodes(flavor)]
+        cum = array("d")
         for i, records in enumerate(per_node):
             cls._pack_slice(
-                kernels.pure, flavor, k, rank_tables, records, columns
+                kernels.pure, flavor, k, rank_tables, records, columns, cum
             )
+            records.clear()  # the records die as their columns grow
             offsets[i + 1] = len(columns[0])
-        index = cls(
-            flavor, k, family.seed, labels, offsets, *columns,
-            backend=backend, kernel_workers=kernel_workers,
+        index = cls._from_segments(
+            flavor, k, family.seed, labels,
+            kernels.pure.Columns.flat(offsets, *columns), 1.0, True,
+            backend, kernel_workers, cum,
         )
         # The tables the builders competed on, handed over.
         index._tables_cache = _pack_tables(tables)
@@ -1187,18 +1193,21 @@ class AdsIndex:
     def _pack_slice(
         kernel, flavor: str, k: int,
         rank_tables: Sequence[Sequence[float]], records: Sequence[Record],
-        columns: Sequence[array],
-    ) -> List[float]:
+        columns: Sequence[array], cum: Optional[array],
+    ) -> None:
         """Append one node's slice -- builder *records* in scan order --
         to the entry *columns* (file order) with its Section-5 adjusted
-        weights, which are returned: the inverse of
-        :meth:`_slice_records`, minus what the per-node tables hold.
+        weights, and their per-slice prefix sums to *cum* unless it is
+        ``None``: the inverse of :meth:`_slice_records`, minus what the
+        per-node tables hold.
 
         The one HIP pass (:func:`~repro.ads.kernels.slice_hip_weights`):
         the build runs it over every slice and ``apply_edges`` over the
         ones it rewrites, serially on the base kernel at any worker
         count (a few milliseconds of a splice, and 3-4x that when
-        fanned out).
+        fanned out).  The prefix sums run left to right, the kernels'
+        ``compute_cum_hip`` order, so the cum-hip column a build or a
+        splice writes is the one a load computes, bit for bit.
         """
         columns[0].extend([record[0] for record in records])
         columns[2].extend([record[2] for record in records])
@@ -1217,7 +1226,8 @@ class AdsIndex:
             kernel, flavor, k, records, rank_vectors
         )
         columns[1].extend(weights)
-        return weights
+        if cum is not None:
+            cum.extend(accumulate(weights))
 
     def apply_edges(self, graph, edges: Iterable[Tuple]) -> UpdateResult:
         """Absorb an edge-insertion batch without a full rebuild.
@@ -1354,6 +1364,7 @@ class AdsIndex:
         rank_tables = self._node_tables[1]
         new_offsets = array(storage.OFFSETS_TYPECODE, bytes(8 * (new_n + 1)))
         new_columns = [array(column.typecode) for column in old_columns]
+        new_cum = new_columns[-1] if self._cum_cache is not None else None
         for i in range(new_n):
             records = dirty_records.get(i)
             if records is None:
@@ -1365,17 +1376,10 @@ class AdsIndex:
                     for column, source in zip(new_columns, old_columns):
                         column.extend(source[lo:hi])
             else:
-                weights = self._pack_slice(
+                self._pack_slice(
                     self._kernel_base, self.flavor, self.k, rank_tables,
-                    records, new_columns,
+                    records, new_columns, new_cum,
                 )
-                if self._cum_cache is not None:
-                    running = 0.0
-                    prefix = []
-                    for weight in weights:
-                        running += weight
-                        prefix.append(running)
-                    new_columns[-1].extend(prefix)
             new_offsets[i + 1] = len(new_columns[0])
         if self._cum_cache is not None:
             self._cum_cache = new_columns.pop()

@@ -55,30 +55,25 @@ def bottom_k_adjusted_weights(
     Returns one weight per entry, in the same order.
     """
     require(k >= 1, f"k must be >= 1, got {k}")
-    weights: List[float] = []
-    # Max-heap (negated) of the k smallest ranks scanned so far.
-    smallest: List[float] = []
-    for index, rank in enumerate(ranks):
-        if len(smallest) < k:
-            tau = None  # fewer than k closer nodes: inclusion certain
-        else:
-            tau = -smallest[0]
-        if tau is None:
-            weights.append(1.0)
-        else:
-            if inclusion_probability is None:
-                p = tau
-            else:
-                p = inclusion_probability(tau, index)
-            if not 0.0 < p <= 1.0:
-                raise EstimatorError(
-                    f"HIP probability must be in (0,1], got {p} at entry {index}"
-                )
-            weights.append(1.0 / p)
+    # Max-heap (negated) of the k smallest ranks scanned so far.  The
+    # first k entries have fewer than k closer nodes (inclusion certain,
+    # weight 1) and seed it in one heapify.
+    smallest = [-rank for rank in ranks[:k]]
+    heapq.heapify(smallest)
+    weights = [1.0] * len(smallest)
+    for index in range(len(smallest), len(ranks)):
+        tau = -smallest[0]
+        p = tau if inclusion_probability is None else (
+            inclusion_probability(tau, index)
+        )
+        if not 0.0 < p <= 1.0:
+            raise EstimatorError(
+                f"HIP probability must be in (0,1], got {p} at entry {index}"
+            )
+        weights.append(1.0 / p)
         # The scanned entry now belongs to the "closer" set of later ones.
-        if len(smallest) < k:
-            heapq.heappush(smallest, -rank)
-        elif rank < -smallest[0]:
+        rank = ranks[index]
+        if rank < tau:
             heapq.heapreplace(smallest, -rank)
     return weights
 

@@ -7,12 +7,16 @@ for every graph kind, flavor, and exact method.  Property tests sweep
 random directed/undirected, weighted/unweighted graphs.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ads import BuildStats, build_ads_set
+import index_format
+from repro.ads import AdsIndex, BuildStats, build_ads_set
 from repro.errors import ParameterError
 from repro.graph import (
+    Graph,
     barabasi_albert_graph,
     gnp_random_graph,
     random_geometric_graph,
@@ -20,6 +24,21 @@ from repro.graph import (
 from repro.rand.hashing import HashFamily
 
 FLAVORS = ("bottomk", "kmins", "kpartition")
+# Small weight alphabets: whole numbers tie many path lengths exactly;
+# tenths give equal real lengths whose float sums differ (0.1 + 0.2 !=
+# 0.3), so a node is reached at several nearly equal distances.
+TIE_WEIGHTS = {"whole": (1, 2, 3), "tenths": (0.1, 0.2, 0.3)}
+
+
+def _tie_weighted_graph(seed, weights, directed, n=32, p=0.12):
+    rng = random.Random(seed)
+    base = gnp_random_graph(n, p, seed=seed, directed=directed)
+    graph = Graph(directed=directed)
+    for u in base.nodes():
+        graph.add_node(u)
+    for u, v, _ in base.edges():
+        graph.add_edge(u, v, rng.choice(weights))
+    return graph
 
 
 def _directed_weighted_graph(seed, n=35, p=0.1):
@@ -115,6 +134,52 @@ class TestBackendEquivalence:
             method="pruned_dijkstra", backend="csr",
         )
         assert_identical_sets(legacy, csr)
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=1, max_value=6),
+        flavor=st.sampled_from(FLAVORS),
+        directed=st.booleans(),
+        alphabet=st.sampled_from(sorted(TIE_WEIGHTS)),
+    )
+    def test_tie_heavy_weighted_graphs(
+        self, seed, k, flavor, directed, alphabet
+    ):
+        """The CSR heap scan prunes when it pushes, the legacy one when
+        it pops.  Equal and nearly equal path lengths run both halves of
+        the push test (a distance no shorter than one already queued;
+        an equal-distance key settled by the tiebreak), and the entries,
+        HIP weights and work counters must still agree.
+
+        The in-process sharded build must equal the serial index column
+        for column where path sums are exact (whole weights).  With
+        tenths it need not: a shard run accepts more nodes, so it can
+        reach a node along another path of the same real length whose
+        float sum is smaller, and record that distance (see
+        ARCHITECTURE.md, "Sharded parallel builds")."""
+        graph = _tie_weighted_graph(seed, TIE_WEIGHTS[alphabet], directed)
+        family = HashFamily(seed + 1)
+        stats = {"legacy": BuildStats(), "csr": BuildStats()}
+        legacy, csr = (
+            build_ads_set(
+                graph, k, family=family, flavor=flavor,
+                method="pruned_dijkstra", backend=backend,
+                stats=stats[backend],
+            )
+            for backend in ("legacy", "csr")
+        )
+        assert_identical_sets(legacy, csr)
+        assert (stats["csr"].relaxations, stats["csr"].insertions) == (
+            stats["legacy"].relaxations, stats["legacy"].insertions
+        )
+        if alphabet == "whole":
+            serial = AdsIndex.build(graph, k, family=family, flavor=flavor)
+            sharded = AdsIndex.build(
+                graph, k, family=family, flavor=flavor, workers=1, shards=3
+            )
+            assert index_format.columns(sharded) == \
+                index_format.columns(serial)
 
     def test_backward_direction(self, family):
         graph = gnp_random_graph(40, 0.08, seed=9, directed=True)

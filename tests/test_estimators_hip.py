@@ -51,6 +51,45 @@ class TestBottomKWeights:
         )
         assert weights[1] == pytest.approx(2 / 0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ranks=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            ),
+            max_size=40,
+        ),
+        k=st.integers(min_value=1, max_value=45),
+    )
+    def test_uniform_default_equals_explicit_inclusion(self, ranks, k):
+        """The default (uniform-rank) call, the same call through an
+        explicit ``tau -> tau`` inclusion probability, and a from-scratch
+        k-th-smallest reference agree on any rank list -- including ones
+        no ADS scan produces (a rank at or above the current k-th
+        smallest), k above the list length, and zero ranks, which must
+        raise the same error on every path."""
+
+        def outcome(**kwargs):
+            try:
+                return bottom_k_adjusted_weights(ranks, k, **kwargs)
+            except EstimatorError as error:
+                return str(error)
+
+        reference = []
+        for index in range(len(ranks)):
+            tau = 1.0 if index < k else sorted(ranks[:index])[k - 1]
+            if not 0.0 < tau <= 1.0:
+                reference = (
+                    f"HIP probability must be in (0,1], got {tau} at "
+                    f"entry {index}"
+                )
+                break
+            reference.append(1.0 if index < k else 1.0 / tau)
+        assert outcome() == outcome(
+            inclusion_probability=lambda tau, i: tau
+        ) == reference
+
     def test_invalid_probability_rejected(self):
         with pytest.raises(EstimatorError):
             bottom_k_adjusted_weights(

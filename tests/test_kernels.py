@@ -33,7 +33,11 @@ from repro.estimators.statistics import (
     harmonic_kernel,
 )
 from repro.centrality.closeness import top_k_central_nodes
-from repro.graph import gnp_random_graph, random_geometric_graph
+from repro.graph import (
+    barabasi_albert_graph,
+    gnp_random_graph,
+    random_geometric_graph,
+)
 from repro.graph.csr import CSRGraph
 from repro.rand.hashing import HashFamily
 
@@ -269,6 +273,69 @@ class TestCumHipSplice:
         assert index.cardinality_at(2.0) == rebuilt.cardinality_at(2.0)
         assert index.closeness_centrality(classic=True) == \
             rebuilt.closeness_centrality(classic=True)
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize(
+    "backend", ("python", pytest.param("numpy", marks=requires_numpy))
+)
+def test_built_cum_hip_is_the_kernel_recompute(backend, flavor, weighted):
+    """The packing pass writes the cum-hip column beside the HIP
+    weights: a build hands over the bytes either kernel's
+    ``compute_cum_hip`` would produce, without preparing kernel views,
+    and an ``apply_edges`` splice extends it the same way."""
+    graph = _graph(weighted)
+    index = AdsIndex.build(
+        graph, 4, family=HashFamily(99), flavor=flavor, backend=backend
+    )
+    kernel = kernels.resolve(backend)
+
+    def recompute():
+        return bytes(
+            kernel.compute_cum_hip(kernel.prepare_views(index._segments))
+        )
+
+    assert index._views_cache is None
+    assert bytes(index._cum_cache) == recompute()
+    labels = graph.nodes()
+    batch = [
+        (labels[0], labels[-1]), (labels[3], labels[len(labels) // 2]),
+        (labels[5], len(labels) + 7),
+    ]
+    if weighted:
+        batch = [(u, v, 0.05) for u, v in batch]
+    assert index.apply_edges(graph, batch).dirty_nodes > 0
+    assert bytes(index._cum_cache) == recompute()
+
+
+@requires_numpy
+def test_build_memory_is_bounded_by_its_columns():
+    """What a NumPy-backend build holds when it returns, and its
+    high-water mark, in Python allocations against the entry columns
+    plus offsets: the records are released as their slices are packed,
+    and no padded kernel plan is gathered for the cum-hip column."""
+    import tracemalloc
+
+    import numpy  # noqa: F401 -- imported first: not the build's memory
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = AdsIndex.build(
+            barabasi_albert_graph(3000, 3, seed=1).to_csr(), 8,
+            HashFamily(1), backend="numpy",
+        )
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (part,) = index._segments.segments
+    column_bytes = sum(
+        len(column) * column.itemsize
+        for column in (part.offsets, part.dist, part.hip, part.node)
+    )
+    assert held - before <= 2.0 * column_bytes
+    assert peak - before <= 3.0 * column_bytes
 
 
 class TestBackendSelection:
@@ -867,8 +934,6 @@ class TestWorkerResolution:
     def test_auto_is_serial_at_any_size(self, monkeypatch, tmp_path):
         # Nothing selects the fan-out: not the core count, not the
         # entry count (the parent's gate opened at 65 536), not shards.
-        from repro.graph import barabasi_albert_graph
-
         monkeypatch.delenv(kernel_parallel.WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(kernel_parallel.os, "cpu_count", lambda: 8)
         assert kernel_parallel.resolve_workers(None) == 1
