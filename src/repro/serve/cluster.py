@@ -352,7 +352,7 @@ class RouterServer(ServerBase):
     _ROUTE_SCOPES = frozenset({"all"})
 
     # handle_request blocks on worker RPCs (up to rpc_timeout on a hung
-    # worker), so the connection loop awaits it on the executor; one
+    # worker), so each connection awaits it on the executor; one
     # slow shard then stalls its own callers, not every connection.
     _DISPATCH_THREADS = DISPATCH_THREADS
 

@@ -18,6 +18,23 @@ from contextlib import contextmanager
 from typing import Iterator
 
 
+class _ReadSide:
+    """``with lock.read_locked():`` -- one object per lock, entered by
+    any number of threads at once: it holds no per-entry state, so
+    every ``__enter__`` is one more reader until its ``__exit__``."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "ReadWriteLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        self._lock.acquire_read()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release_read()
+
+
 class ReadWriteLock:
     """Many concurrent readers xor one writer; writers preferred.
 
@@ -30,10 +47,13 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._condition = threading.Condition()
+        # A plain Lock: no method re-enters the condition, and the
+        # default RLock costs more on every read of every request.
+        self._condition = threading.Condition(threading.Lock())
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._read_side = _ReadSide(self)
 
     def acquire_read(self) -> None:
         with self._condition:
@@ -44,7 +64,9 @@ class ReadWriteLock:
     def release_read(self) -> None:
         with self._condition:
             self._readers -= 1
-            if self._readers == 0:
+            # Only a writer waits on the reader count: readers queue
+            # behind writers, which this release does not change.
+            if self._readers == 0 and self._writers_waiting:
                 self._condition.notify_all()
 
     def acquire_write(self) -> None:
@@ -53,8 +75,12 @@ class ReadWriteLock:
             try:
                 while self._writer_active or self._readers:
                     self._condition.wait()
-            finally:
+            except BaseException:
+                # Readers queued behind this writer may go now.
                 self._writers_waiting -= 1
+                self._condition.notify_all()
+                raise
+            self._writers_waiting -= 1
             self._writer_active = True
 
     def release_write(self) -> None:
@@ -62,13 +88,10 @@ class ReadWriteLock:
             self._writer_active = False
             self._condition.notify_all()
 
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read_locked(self) -> _ReadSide:
+        """The shared side as a context manager.  Every request takes
+        it, so it is one reusable object, not a generator per call."""
+        return self._read_side
 
     @contextmanager
     def write_locked(self) -> Iterator[None]:

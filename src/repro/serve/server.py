@@ -47,9 +47,10 @@ exactly that).
 
 Routing, caching, locking, and the endpoint handlers never touch a
 socket: :meth:`ServerBase.handle_request` maps ``(method, target, raw
-body)`` to ``(status, payload)``, and the connection loop renders
-whatever it returns.  Where that call runs is the one thing a server
-class chooses (:attr:`ServerBase._DISPATCH_THREADS`):
+body)`` to ``(status, payload)``, and the connection renders whatever
+it returns.  Where that call runs is the one thing a server class
+chooses (:attr:`ServerBase._DISPATCH_THREADS`), and one connection
+class (an ``asyncio.Protocol``) serves both choices:
 
 * :class:`AdsServer` runs it **inline on the event loop**.  A query is
   microseconds of bisect arithmetic, so a thread hand-off would cost
@@ -132,9 +133,6 @@ _MAX_BODY_BYTES = 8 << 20  # refuse absurd batch payloads outright
 _MAX_HEADER_COUNT = 64
 #: A request head (request line + headers) must fit in this many bytes.
 _MAX_HEAD_BYTES = 65536
-#: Read size for the connection loop.  Large enough that a deep
-#: pipeline of single-node queries arrives in one read.
-_READ_CHUNK = 262144
 
 #: Requests dispatched and not yet answered, over all connections,
 #: before new ones are shed with ``503``.
@@ -166,6 +164,190 @@ class _ProtocolError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
+    """``(path, params)`` of a request target, the last of a repeated
+    parameter winning and blank values kept (``?node=`` must reach
+    resolve_node's 404, not become an all-nodes sweep).  A target with
+    nothing ``urlsplit`` / ``parse_qs`` would decode or drop -- ``%``,
+    ``#``, tab / CR / LF, a leading ``//``, a ``+`` in the query -- is
+    split by hand, to the same result; the rest go through them."""
+    path, _, query = target.partition("?")
+    if (
+        path[:1] == "/" and path[1:2] != "/"
+        and "%" not in target and "#" not in target and "+" not in query
+        and "\t" not in target and "\r" not in target and "\n" not in target
+    ):
+        params = {}
+        for field in query.split("&"):
+            if field:
+                name, _, value = field.partition("=")
+                params[name] = value
+        return path, params
+    split = urlsplit(target)
+    return unquote(split.path), {
+        name: values[-1]
+        for name, values in parse_qs(
+            split.query, keep_blank_values=True
+        ).items()
+    }
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, for either dispatch mode.
+
+    Each read runs :meth:`_answer` over the buffered wave: inline,
+    inside ``data_received``; on the executor, as the connection's
+    drain task, with reading paused until the wave is answered.
+    Reading also pauses while unsent responses are above the
+    transport's high-water mark, so a client that pipelines without
+    reading costs at most that plus one wave.  One timer per connection
+    drops it after ``idle_timeout`` seconds of waiting on the client.
+    """
+
+    def __init__(self, server: ServerBase, loop: asyncio.AbstractEventLoop):
+        self.server = server
+        self.loop = loop
+        self.buf = bytearray()
+        # True once the interim 100 went out for the request at the
+        # front of buf; it is re-parsed on every read until its body is
+        # whole and must be told to continue only once.
+        self.continued = False
+        self.write_paused = False
+        self.drain: Optional["asyncio.Task[None]"] = None
+        self.last_read = loop.time()
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        try:
+            # asyncio disables Nagle only where sock.proto is TCP, and
+            # an accepted socket's is 0.
+            transport.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
+        except OSError:  # pragma: no cover - platform-specific
+            pass
+        self.server._open.add(self)
+        self.server._connections_total += 1
+        self.timer = self.loop.call_later(
+            self.server.idle_timeout, self._check_idle
+        )
+
+    def connection_lost(self, exc) -> None:
+        self.server._open.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+        if self.drain is not None:
+            self.drain.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        self.last_read = self.loop.time()
+        wave = self._answer()
+        if self.server._executor is None:
+            # Inline dispatch never awaits: one send() runs the wave.
+            try:
+                wave.send(None)
+            except StopIteration:
+                pass
+        else:
+            self.transport.pause_reading()
+            self.drain = self.loop.create_task(wave)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.last_read = self.loop.time()
+        if self.drain is None:
+            self.transport.resume_reading()
+
+    def _check_idle(self) -> None:
+        timeout = self.server.idle_timeout
+        if self.drain is not None or self.write_paused:
+            left = timeout  # waiting on our side, not the client's
+        else:
+            left = self.last_read + timeout - self.loop.time()
+        if left > 0:
+            self.timer = self.loop.call_later(left, self._check_idle)
+        else:
+            self.timer = None
+            self.transport.close()
+
+    async def _answer(self) -> None:
+        server, buf = self.server, self.buf
+        out: List[bytes] = []
+        pos = 0
+        closing = served = False
+        while not closing:
+            try:
+                parsed = server._parse_request(buf, pos)
+            except _ProtocolError as error:
+                server._count_request()
+                out.append(server._render(
+                    error.status, {"error": error.message}, None, "close"
+                ))
+                closing = True
+                break
+            if parsed is None:
+                break  # incomplete request: need more bytes
+            if parsed is _AWAITING_BODY:
+                if not self.continued:
+                    out.append(_CONTINUE)
+                    self.continued = True
+                break
+            self.continued = False
+            served = True
+            pos, method, target, headers, body, connection = parsed
+            accept = headers.get("accept")
+            if server._in_flight >= server.max_in_flight:
+                # Only executor dispatch gets here: an inline request
+                # is answered before the next one is parsed.
+                server._sheds += 1
+                out.append(server._render(
+                    503, {"error": "server overloaded; retry later"},
+                    accept, "close",
+                ))
+                closing = True
+                break
+            server._in_flight += 1
+            try:
+                if method not in ("GET", "POST"):
+                    server._count_request()
+                    status: int = 501
+                    payload: Dict[str, Any] = {
+                        "error": f"method {method} is not supported"
+                    }
+                elif server._executor is None:
+                    status, payload = server.handle_request(
+                        method, target, body, headers.get("content-type")
+                    )
+                else:
+                    status, payload = await self.loop.run_in_executor(
+                        server._executor, server.handle_request,
+                        method, target, body, headers.get("content-type"),
+                    )
+            finally:
+                server._in_flight -= 1
+            out.append(server._render(status, payload, accept, connection))
+            closing = connection == "close"
+        if served:
+            server._reads += 1
+        # Trimmed once per read: per request, it would move the rest of
+        # a pipelined wave every time.
+        del buf[:pos]
+        if out:
+            self.transport.write(b"".join(out))
+        self.drain = None
+        self.last_read = self.loop.time()
+        if closing:
+            self.transport.close()
+        elif not self.write_paused:
+            self.transport.resume_reading()
 
 
 class ServerBase:
@@ -208,8 +390,8 @@ class ServerBase:
     #: that many threads, one request at a time per connection.
     _DISPATCH_THREADS: Optional[int] = None
 
-    #: Idle keep-alive connections are dropped after this many seconds
-    #: (doubles as the slow-request ceiling).
+    #: A connection the server has waited on this many seconds without
+    #: a byte -- idle keep-alive, or stalled mid-request -- is dropped.
     idle_timeout = 30.0
 
     def __init__(
@@ -239,17 +421,18 @@ class ServerBase:
         self._updates_applied = 0
         self._counter_lock = threading.Lock()
         self._rw_lock = ReadWriteLock()
-        # Transport counters: written on the event-loop thread only.
+        # Transport state: touched on the event-loop thread only.
         self._in_flight = 0
         self._sheds = 0
-        self._connections = 0
+        self._open: Set[_Connection] = set()
         self._connections_total = 0
         self._reads = 0
+        # (status, content type, Connection) -> head around Content-Length
+        self._heads: Dict[tuple, Tuple[bytes, bytes]] = {}
         self._thread: Optional[threading.Thread] = None
         self._serving = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._handlers: Set["asyncio.Task[None]"] = set()
         self._routes = self._build_routes()
         self._executor = (
             ThreadPoolExecutor(
@@ -292,10 +475,10 @@ class ServerBase:
         asyncio.run(self._serve())
 
     async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, sock=self._socket
+        server = await loop.create_server(
+            lambda: _Connection(self, loop), sock=self._socket
         )
         self._serving.set()
         try:
@@ -307,8 +490,8 @@ class ServerBase:
             # A client may hold a keep-alive connection open for as
             # long as it likes, and wait_closed() (Python >= 3.12.1)
             # waits for every connection: end them ourselves.
-            for handler in list(self._handlers):
-                handler.cancel()
+            for connection in list(self._open):
+                connection.transport.abort()
             await server.wait_closed()
 
     def start(self) -> "ServerBase":
@@ -358,156 +541,41 @@ class ServerBase:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Connection handling (the wire side lives in _Connection)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                # Responses go out as one buffer, but disable Nagle
-                # anyway so pipelined trickles never stall behind
-                # delayed ACKs.
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - platform-specific
-                pass
-        self._connections += 1
-        self._connections_total += 1
-        handler = asyncio.current_task()
-        self._handlers.add(handler)
-        loop = asyncio.get_running_loop()
-        buf = bytearray()
-        out: List[bytes] = []
-        # True once the interim 100 went out for the request now at the
-        # front of buf; it is re-parsed on every read until its body is
-        # whole and must be told to continue only once.
-        continued = False
-        try:
-            while True:
-                # Drain every complete request already buffered before
-                # touching the socket again: this is what makes a
-                # pipelined segment of N requests cost one read, one
-                # write, and zero intermediate round trips.
-                closing = served = False
-                while True:
-                    try:
-                        parsed = self._parse_request(buf)
-                    except _ProtocolError as error:
-                        self._count_request()
-                        out.append(self._render(
-                            error.status, {"error": error.message},
-                            None, close=True,
-                        ))
-                        closing = True
-                        break
-                    if parsed is None:
-                        break  # incomplete request: need more bytes
-                    if parsed is _AWAITING_BODY:
-                        if not continued:
-                            out.append(_CONTINUE)
-                            continued = True
-                        break
-                    continued = False
-                    served = True
-                    method, target, headers, body, keep_alive = parsed
-                    accept = headers.get("accept")
-                    content_type = headers.get("content-type")
-                    if self._in_flight >= self.max_in_flight:
-                        self._sheds += 1
-                        out.append(self._render(
-                            503,
-                            {"error": "server overloaded; retry later"},
-                            accept, close=True,
-                        ))
-                        closing = True
-                        break
-                    self._in_flight += 1
-                    try:
-                        if method not in ("GET", "POST"):
-                            self._count_request()
-                            status: int = 501
-                            payload: Dict[str, Any] = {
-                                "error": f"method {method} is not supported"
-                            }
-                        elif self._executor is None:
-                            status, payload = self.handle_request(
-                                method, target, body, content_type
-                            )
-                        else:
-                            status, payload = await loop.run_in_executor(
-                                self._executor, self.handle_request,
-                                method, target, body, content_type,
-                            )
-                    finally:
-                        self._in_flight -= 1
-                    out.append(self._render(
-                        status, payload, accept, close=not keep_alive
-                    ))
-                    if not keep_alive:
-                        closing = True
-                        break
-                if served:
-                    self._reads += 1
-                if out:
-                    writer.write(b"".join(out))
-                    out.clear()
-                    await writer.drain()
-                if closing:
-                    return
-                chunk = await asyncio.wait_for(
-                    reader.read(_READ_CHUNK), timeout=self.idle_timeout
-                )
-                if not chunk:
-                    # EOF: clean between requests, or a truncated
-                    # request mid-flight -- either way, drop quietly.
-                    return
-                buf += chunk
-        except (asyncio.TimeoutError, OSError):
-            return  # idle too long, or the client went away: drop quietly
-        except asyncio.CancelledError:
-            # Shutdown cancels live connection handlers (_serve);
-            # finishing normally (rather than ending cancelled) keeps
-            # the stream protocol's done-callback from logging it.
-            return
-        finally:
-            self._connections -= 1
-            self._handlers.discard(handler)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-
     @staticmethod
-    def _parse_request(buf: bytearray):
-        """Parse (and consume) one request from the front of ``buf``.
+    def _parse_request(buf: bytearray, start: int):
+        """Parse one request from ``buf[start:]``; ``buf`` is not touched.
 
-        Returns ``None`` when the buffer holds only a prefix of a
-        request (the caller reads more bytes) -- or ``_AWAITING_BODY``
-        when that prefix is a complete head that asked for ``100
-        Continue`` -- raises :class:`_ProtocolError` for requests that
-        must be refused, and otherwise deletes the parsed bytes from
-        ``buf`` and returns ``(method, target, headers, body,
-        keep_alive)``.
+        Returns ``None`` when the rest of the buffer holds only a prefix
+        of a request (the caller reads more bytes) -- or
+        ``_AWAITING_BODY`` when that prefix is a complete head that
+        asked for ``100 Continue`` -- raises :class:`_ProtocolError` for
+        requests that must be refused, and otherwise returns ``(end,
+        method, target, headers, body, connection)``: the next request
+        starts at *end*, and *connection* is the ``Connection`` header
+        the response carries (``"close"``, ``"keep-alive"`` for an
+        HTTP/1.0 client that asked to stay, or ``None``).
         """
-        head_end = buf.find(b"\r\n\r\n")
+        head_end = buf.find(b"\r\n\r\n", start)
         sep_len = 4
         # Bare-LF framing is tolerated, per request: whichever
         # terminator comes first ends *this* head, so a bare-LF request
         # pipelined ahead of a CRLF one keeps its own headers.
         bare = (
-            buf.find(b"\n\n", 0, head_end) if head_end != -1
-            else buf.find(b"\n\n")
+            buf.find(b"\n\n", start, head_end) if head_end != -1
+            else buf.find(b"\n\n", start)
         )
         if bare != -1:
             head_end, sep_len = bare, 2
         if head_end == -1:
-            if buf and b"\n" not in buf and len(buf) > _MAX_HEAD_BYTES:
+            pending = len(buf) - start
+            if pending > _MAX_HEAD_BYTES and buf.find(b"\n", start) == -1:
                 raise _ProtocolError(400, "request line too long")
-            if len(buf) > 2 * _MAX_HEAD_BYTES:
+            if pending > 2 * _MAX_HEAD_BYTES:
                 raise _ProtocolError(400, "request head too large")
             return None
-        lines = bytes(buf[:head_end]).split(b"\n")
+        lines = bytes(buf[start:head_end]).split(b"\n")
         if len(lines[0]) > _MAX_HEAD_BYTES:
             raise _ProtocolError(400, "request line too long")
         line = lines[0].rstrip(b"\r").decode("latin-1")
@@ -537,12 +605,14 @@ class ServerBase:
             # would frame by Content-Length (or leave the chunks in the
             # buffer to be parsed as the next pipelined request).
             raise _ProtocolError(501, "Transfer-Encoding is not supported")
-        connection = headers.get("connection", "").lower()
+        asked = headers.get("connection", "").lower()
         if version == "HTTP/1.0":
-            keep_alive = connection == "keep-alive"
+            # A 1.0 client closes unless the response says it may stay.
+            connection = "keep-alive" if asked == "keep-alive" else "close"
         else:
-            keep_alive = connection != "close"
+            connection = "close" if asked == "close" else None
         body: Optional[bytes] = None
+        end = head_end + sep_len
         if "content-length" in headers:
             digits = headers["content-length"]
             # ASCII digits only, and few enough for int(): on its own
@@ -552,8 +622,8 @@ class ServerBase:
             length = int(digits)
             if length > _MAX_BODY_BYTES:
                 raise _ProtocolError(400, "request body too large")
-            body_start = head_end + sep_len
-            if len(buf) - body_start < length:
+            body_start, end = end, end + length
+            if len(buf) < end:
                 # Body still in flight.  A client that sent Expect is
                 # holding it back until told to go on (curl above its
                 # body-size threshold, older .NET defaults).
@@ -563,41 +633,39 @@ class ServerBase:
                 ):
                     return _AWAITING_BODY
                 return None
-            # Consumed for ANY method (a GET body left unread would be
+            # Skipped for ANY method (a GET body left unread would be
             # parsed as the next pipelined request); only POST uses it.
-            raw_body = bytes(buf[body_start:body_start + length])
-            del buf[:body_start + length]
             if method == "POST":
-                body = raw_body
+                body = bytes(buf[body_start:end])
         elif method == "POST":
             # No Content-Length: an absent body (or one we cannot
             # frame), so the connection cannot be kept alive.
             raise _ProtocolError(400, "POST requires Content-Length")
-        else:
-            del buf[:head_end + sep_len]
-        return method, target, headers, body, keep_alive
+        return end, method, target, headers, body, connection
 
     def _render(
         self,
         status: int,
         payload: Dict[str, Any],
         accept: Optional[str],
-        close: bool,
+        connection: Optional[str],
     ) -> bytes:
         data, content_type = wire.encode_response(
             payload, accept, self.wire_mode
         )
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-        )
-        if status == 503:
-            head += "Retry-After: 1\r\n"
-        if close:
-            head += "Connection: close\r\n"
-        head += "\r\n"
-        return head.encode("latin-1") + data
+        key = (status, content_type, connection)
+        if key not in self._heads:
+            tail = "Retry-After: 1\r\n" if status == 503 else ""
+            if connection:
+                tail += f"Connection: {connection}\r\n"
+            self._heads[key] = (
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: "
+                .encode("latin-1"),
+                f"\r\n{tail}\r\n".encode("latin-1"),
+            )
+        lead, tail = self._heads[key]
+        return b"%s%d%s%s" % (lead, len(data), tail, data)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -624,22 +692,13 @@ class ServerBase:
         body, decoded as JSON or as the binary wire codec depending on
         *content_type*.  Never raises -- refusals and faults come back
         as their HTTP status with an ``{"error": ...}`` payload, and
-        every call counts toward ``/stats``.  The connection loop and
+        every call counts toward ``/stats``.  Connections and
         in-process callers both come through here, so a served body is
         ``encode_response`` of exactly what this returns.  Thread-safe.
         """
         self._count_request()
         try:
-            split = urlsplit(target)
-            path = unquote(split.path)
-            # keep_blank_values: "?node=" must reach resolve_node (404)
-            # rather than silently becoming an all-nodes sweep.
-            params = {
-                name: values[-1]
-                for name, values in parse_qs(
-                    split.query, keep_blank_values=True
-                ).items()
-            }
+            path, params = _split_target(target)
         except ValueError:
             return 400, {"error": "malformed request target"}
         try:
@@ -728,7 +787,7 @@ class ServerBase:
         # requests / reads is the pipeline depth actually served.
         return {
             "mode": "async",
-            "connections": self._connections,
+            "connections": len(self._open),
             "connections_total": self._connections_total,
             "reads": self._reads,
             "in_flight": self._in_flight,

@@ -1,15 +1,18 @@
 """The transport: pipelining, parser edges, interim ``100 Continue``,
-backpressure, lifecycle.
+backpressure, idle timeouts, request-target splitting, lifecycle.
 
 The endpoint behaviour itself is covered by ``test_serve.py``; this
 module exercises the chassis every server shares -- the hand-rolled
 pipelined parser with hostile and fragmented input, bounded in-flight
 load shedding where it can occur (executor dispatch behind a stalled
-worker) -- plus the acceptance contract that every endpoint's served
-*bytes* are ``handle_request``'s payload encoded, and that the JSON
-and binary codecs carry the same payloads.
+worker), a write buffer bounded against a client that never reads,
+the idle timer, and the hand split of plain request targets held
+equal to ``urlsplit`` / ``parse_qs`` -- plus the acceptance contract
+that every endpoint's served *bytes* are ``handle_request``'s payload
+encoded, and that the JSON and binary codecs carry the same payloads.
 """
 
+import concurrent.futures
 import json
 import socket
 import subprocess
@@ -17,8 +20,11 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ads import AdsIndex
 from repro.errors import ParameterError
@@ -30,6 +36,7 @@ from repro.serve import (
     RouterServer,
     ServeClientError,
 )
+from repro.serve import server as server_module
 from repro.serve import wire
 
 
@@ -75,22 +82,57 @@ def read_to_eof(conn) -> bytes:
         data += chunk
 
 
+def read_one_response(conn):
+    """One Content-Length-framed response: ``(head, body)``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        assert chunk, "connection closed before a response head"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    ((_, length),) = [
+        line.split(b":", 1) for line in head.split(b"\r\n")[1:]
+        if line.lower().startswith(b"content-length:")
+    ]
+    while len(body) < int(length):
+        chunk = conn.recv(65536)
+        assert chunk, "connection closed inside a response body"
+        body += chunk
+    return head, body
+
+
+def on_loop(server, fn):
+    """``fn()``'s result, called on the server's event-loop thread (the
+    transport objects it inspects are not thread-safe)."""
+    done = concurrent.futures.Future()
+
+    def call():
+        try:
+            done.set_result(fn())
+        except Exception as error:  # noqa: BLE001 - handed back
+            done.set_exception(error)
+
+    server._loop.call_soon_threadsafe(call)
+    return done.result(timeout=5)
+
+
 def split_responses(data: bytes):
     """Parse Content-Length-framed responses into (status, body) pairs."""
     out = []
-    rest = data
-    while rest:
-        head, sep, rest = rest.partition(b"\r\n\r\n")
-        if not sep:
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\r\n\r\n", pos)
+        if end == -1:
             break
+        head = data[pos:end]
         status = int(head.split(b" ", 2)[1])
         length = 0
         for line in head.split(b"\r\n")[1:]:
             name, _, value = line.partition(b":")
             if name.strip().lower() == b"content-length":
                 length = int(value)
-        out.append((status, rest[:length]))
-        rest = rest[length:]
+        pos = end + 4 + length
+        out.append((status, data[end + 4:pos]))
     return out
 
 
@@ -176,6 +218,24 @@ class TestPipelining:
         assert json.loads(body)["results"] == [
             [5, index.node_cardinality_at(5, 1.0)]
         ]
+
+    def test_accepted_connections_disable_nagle(self, server):
+        # Otherwise a response that follows another before its ACK
+        # waits out the client's delayed ACK.
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as conn:
+            conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            read_one_response(conn)
+            (nodelay,) = on_loop(server, lambda: [
+                connection.transport.get_extra_info("socket").getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                for connection in server._open
+                if connection.transport.get_extra_info("peername")
+                == conn.getsockname()
+            ])
+        assert nodelay
 
     def test_bare_lf_request_ahead_of_a_crlf_one(self, server):
         # Each head ends at ITS first terminator: looking for CRLFCRLF
@@ -363,6 +423,25 @@ class TestParserRefusals:
         assert status == 200
         assert b"connection: close" in data.lower()
 
+    def test_http10_keep_alive_is_echoed_and_kept(self, server):
+        # A 1.0 client closes unless the response says it may stay, so
+        # a kept-open connection must say so.
+        request = (
+            b"GET /cardinality?node=4&d=2.0 HTTP/1.0\r\n"
+            b"Connection: keep-alive\r\n\r\n"
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as conn:
+            conn.settimeout(10)
+            for _ in range(2):
+                conn.sendall(request)
+                head, body = read_one_response(conn)
+                assert head.startswith(b"HTTP/1.1 200 ")
+                assert b"\r\nconnection: keep-alive" in head.lower()
+                assert b"close" not in head.lower()
+                assert json.loads(body)["node"] == 4
+
 
 def _stalled_router(index, max_in_flight):
     """A router whose first candidate replica swallows requests.
@@ -455,6 +534,127 @@ class TestBackpressure:
                 index.nodes(), [((0, None), ["http://127.0.0.1:9"])],
                 max_in_flight=0, validate_topology=False,
             )
+
+
+#: What one read hands ``data_received`` at most: asyncio's per-read
+#: size for socket transports.
+_ONE_READ = 262144
+
+
+class TestWriteBackpressure:
+    def test_client_that_never_reads_bounds_the_write_buffer(self, index):
+        # Both ends' kernel buffers are pinned small, so the server's
+        # own write buffer is what fills while the client reads nothing.
+        depth = 20_000
+        nodes = [i % index.num_nodes for i in range(depth)]
+        requests = [
+            f"GET /neighborhood?node={n} HTTP/1.1\r\nHost: x\r\n\r\n"
+            .encode() for n in nodes
+        ]
+        # The last one closes, so the reader below can stop at EOF.
+        requests[-1] = requests[-1].replace(
+            b"Host: x", b"Host: x\r\nConnection: close"
+        )
+
+        def probe():
+            # (write-buffer bytes, reading paused?, requests answered)
+            (connection,) = server._open
+            transport = connection.transport
+            paused = not (transport.is_reading() or transport.is_closing())
+            return (
+                transport.get_write_buffer_size(), paused, server._requests
+            )
+
+        with AdsServer(index, port=0) as server, socket.socket() as stalled:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.connect((server.host, server.port))
+
+            def shrink_send_buffer():
+                if not server._open:
+                    return False
+                (connection,) = server._open
+                connection.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                return True
+
+            deadline = time.monotonic() + 5
+            while not on_loop(server, shrink_send_buffer):
+                assert time.monotonic() < deadline, "never accepted"
+                time.sleep(0.001)
+            sender = threading.Thread(
+                target=stalled.sendall, args=(b"".join(requests),),
+                daemon=True,
+            )
+            sender.start()
+            sizes = []
+            answered = []  # requests answered, from the pause on
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and len(answered) < 40:
+                size, paused, requests_so_far = on_loop(server, probe)
+                sizes.append(size)
+                if paused or answered:
+                    answered.append(requests_so_far)
+                time.sleep(0.005)
+            assert answered, "reading never paused"
+            # Paused means paused: nothing more is parsed or answered
+            # while the client reads nothing.
+            assert answered[0] == answered[-1] < depth
+            (connection,) = server._open
+            high_water = connection.transport.get_write_buffer_limits()[1]
+            # A second connection is served while the first is stalled.
+            with QueryClient(server.url) as client:
+                assert client.cardinality(node=1, d=2.0)["value"] == (
+                    index.node_cardinality_at(1, 2.0)
+                )
+            stalled.settimeout(10)
+            chunks = []
+            while True:
+                chunk = stalled.recv(1 << 20)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            data = b"".join(chunks)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        responses = split_responses(data)
+        assert [json.loads(body)["node"] for _, body in responses] == nodes
+        head = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 99999\r\nConnection: close\r\n\r\n"
+        )
+        longest = len(head) + max(len(body) for _, body in responses)
+        wave = (_ONE_READ // min(map(len, requests)) + 1) * longest
+        assert max(sizes) <= high_water + wave
+
+
+class TestIdleTimeout:
+    def test_only_connections_that_send_nothing_are_dropped(self, index):
+        server = AdsServer(index, port=0)
+        server.idle_timeout = 0.2
+        address = (server.host, server.port)
+        with server, socket.create_connection(
+            address, timeout=10
+        ) as idle, socket.create_connection(
+            address, timeout=10
+        ) as half, socket.create_connection(address, timeout=10) as busy:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            read_one_response(idle)  # now an idle keep-alive connection
+            half.sendall(b"GET /healthz HTTP/1.1\r\nHo")
+            request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            start = time.monotonic()
+            # Trickle one request over 3x the timeout, a piece every
+            # 0.05 s: each read pushes the deadline back.
+            for i in range(0, len(request), 3):
+                busy.sendall(request[i:i + 3])
+                time.sleep(0.05)
+            assert time.monotonic() - start > 3 * server.idle_timeout
+            head, _ = read_one_response(busy)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            for dropped in (idle, half):
+                dropped.settimeout(5)
+                assert read_to_eof(dropped) == b""
+            assert time.monotonic() - start < 4.0
 
 
 class TestExecutorDispatch:
@@ -614,6 +814,89 @@ class TestTransportByteIdentity:
                 )
 
 
+def stdlib_split(target):
+    """The reference split: what every target went through before
+    plain ones were split by hand."""
+    split = urlsplit(target)
+    return unquote(split.path), {
+        name: values[-1]
+        for name, values in parse_qs(
+            split.query, keep_blank_values=True
+        ).items()
+    }
+
+
+def _targets(tokens, paths):
+    piece = st.lists(st.sampled_from(tokens), max_size=4).map("".join)
+    key = st.sampled_from(
+        ["node", "d", "kind", "count", "largest", "half_life", "nóde", ""]
+    ) | piece
+    field = st.one_of(
+        st.just(""), key, st.builds("{}={}".format, key, piece)
+    )
+    return st.builds(
+        lambda path, fields: (
+            path + ("" if fields is None else "?" + "&".join(fields))
+        ),
+        st.sampled_from(paths) | st.builds("/node/{}".format, piece),
+        st.none() | st.lists(field, max_size=5),
+    )
+
+
+# Real endpoints, labels and values, empty fields, repeated keys and
+# blank values; half the targets also carry what the stdlib treats
+# specially: %-escapes (valid, truncated, invalid), "+", a fragment, a
+# tab, a leading "//", a scheme.
+_PLAIN_TOKENS = [
+    "0", "3", "7", "79", "2.0", "inf", "-1", "harmonic", "true", "x",
+    ";", ":", "é", "ÿ", "\xa0", "€", "=", "/",
+]
+_PLAIN_PATHS = [
+    "/cardinality", "/closeness", "/neighborhood", "/nf-curve",
+    "/top-central", "/healthz", "/node/3", "/node/", "/similar/4",
+    "/node/é", "/cardinality;v=1", "/a:b",
+]
+_TARGET = _targets(_PLAIN_TOKENS, _PLAIN_PATHS) | _targets(
+    _PLAIN_TOKENS + ["%33", "%2", "%zz", "%C3%A9", "+", "#", "\t"],
+    _PLAIN_PATHS + [
+        "//cardinality", "cardinality", "/card%69nality", "/node/%33",
+        "http://x/cardinality", "/node/3#x",
+    ],
+)
+
+
+@pytest.fixture(scope="module", params=["single", "cluster"])
+def split_server(request, index):
+    # cache_size=0: two calls with one target must not differ by the
+    # "cached" flag of a whole-graph answer.
+    if request.param == "single":
+        server = AdsServer(index, port=0, cache_size=0)
+        yield server
+        server.close()
+    else:
+        from cluster_harness import start_cluster
+
+        with start_cluster(index, workers=2, cache_size=0) as cluster:
+            yield cluster.router
+
+
+class TestTargetSplit:
+    @settings(max_examples=400, deadline=None)
+    @given(target=_TARGET)
+    def test_split_equals_the_stdlib_reference(self, target):
+        assert server_module._split_target(target) == stdlib_split(target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=_TARGET)
+    def test_handle_request_equals_the_stdlib_reference(
+        self, split_server, target
+    ):
+        answer = split_server.handle_request("GET", target, None)
+        with mock.patch.object(server_module, "_split_target", stdlib_split):
+            reference = split_server.handle_request("GET", target, None)
+        assert answer == reference
+
+
 class TestAsyncLifecycle:
     def test_start_then_immediate_shutdown(self, index):
         start = time.perf_counter()
@@ -639,7 +922,7 @@ class TestAsyncLifecycle:
 
     def test_clean_shutdown_with_live_keepalive_connection(self, index):
         # A client holding a keep-alive socket open must not hang or
-        # crash shutdown (its handler task is cancelled cleanly).
+        # crash shutdown (its transport is aborted cleanly).
         # Well under shutdown()'s own 5 s join timeout, which is what
         # a wait_closed() stuck on the live connection would run into.
         server = AdsServer(index, port=0)

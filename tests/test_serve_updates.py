@@ -9,6 +9,7 @@ writes with a clear 409.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -279,6 +280,106 @@ class TestReadWriteLock:
         for thread in threads:
             thread.join(timeout=5)
         assert not any(thread.is_alive() for thread in threads)
+
+    def test_waiting_writer_blocks_new_readers(self):
+        # Writer preference: once a writer queues behind a reader, a
+        # reader arriving later waits for the writer to run.
+        lock = ReadWriteLock()
+        log = []
+        first_in = threading.Event()
+        release_first = threading.Event()
+
+        def first_reader():
+            with lock.read_locked():
+                log.append("first reader")
+                first_in.set()
+                release_first.wait(timeout=5)
+
+        def writer():
+            with lock.write_locked():
+                log.append("writer")
+
+        def late_reader():
+            with lock.read_locked():
+                log.append("late reader")
+
+        threads = [threading.Thread(target=first_reader)]
+        threads[0].start()
+        assert first_in.wait(timeout=5)
+        threads.append(threading.Thread(target=writer))
+        threads[1].start()
+        deadline = time.monotonic() + 5
+        while lock._writers_waiting == 0:
+            assert time.monotonic() < deadline, "writer never queued"
+            time.sleep(0.001)
+        threads.append(threading.Thread(target=late_reader))
+        threads[2].start()
+        time.sleep(0.05)
+        assert log == ["first reader"]  # both still waiting
+        release_first.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert log == ["first reader", "writer", "late reader"]
+
+    def test_exception_inside_read_side_releases_it(self):
+        lock = ReadWriteLock()
+        with pytest.raises(ValueError):
+            with lock.read_locked():
+                raise ValueError("query failed")
+        written = threading.Event()
+
+        def writer():
+            with lock.write_locked():
+                written.set()
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        assert written.wait(timeout=5), "the read side leaked"
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_shared_read_side_counts_every_thread(self):
+        # read_locked() hands every caller the same object, so it must
+        # hold no per-entry state: two threads inside it at once are
+        # two readers, and a writer waits for both.
+        lock = ReadWriteLock()
+        side = lock.read_locked()
+        assert lock.read_locked() is side
+        inside = threading.Barrier(3, timeout=5)
+        leave = [threading.Event(), threading.Event()]
+        written = threading.Event()
+
+        def reader(position):
+            with side:
+                inside.wait()
+                leave[position].wait(timeout=5)
+
+        def writer():
+            with lock.write_locked():
+                written.set()
+
+        readers = [
+            threading.Thread(target=reader, args=(i,)) for i in range(2)
+        ]
+        for thread in readers:
+            thread.start()
+        inside.wait()
+        assert lock._readers == 2
+        writer_thread = threading.Thread(target=writer)
+        writer_thread.start()
+        leave[0].set()
+        readers[0].join(timeout=5)
+        assert not written.wait(timeout=0.05)  # one reader still inside
+        assert lock._readers == 1
+        leave[1].set()
+        assert written.wait(timeout=5)
+        for thread in readers + [writer_thread]:
+            thread.join(timeout=5)
+        assert not any(
+            thread.is_alive() for thread in readers + [writer_thread]
+        )
+        assert lock._readers == 0
 
 
 class TestLabelCoercion:
